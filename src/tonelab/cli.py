@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 runtime/numeric failure, 2 usage or input-parse
 error. All outputs use fixed float formats and fixed orderings, so a given
-configuration and input always produce byte-identical results. The env var
-TONELAB_THREADS caps internal worker threads.
+configuration and input always produce byte-identical results.
 """
 from __future__ import annotations
 

@@ -5,22 +5,17 @@ import csv
 import os
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import cluster as clustering
 from . import learn
 from . import pitch as pitchmod
+from . import tones
 from .cluster import ClusterAssignment, LINKAGES, NOISE
 from .errors import CorpusError, InputError
-from .tones import (
-    DistanceMatrix,
-    Transcription,
-    categorical_distance,
-    parse_transcription,
-    tone_distance,
-)
+from .tones import DistanceMatrix, Transcription, parse_transcription
 
 METRICS = ("tone2vec", "categorical")
 
@@ -122,44 +117,67 @@ def load_corpus(path: str | os.PathLike,
     return DialectCorpus(regions, gold)
 
 
-def _metric_fn(metric: str) -> Callable[[Transcription, Transcription], float]:
+def _metric_table(metric: str) -> np.ndarray:
+    """The metric's 150x150 distance table over canonical transcription codes."""
     if metric == "tone2vec":
-        return tone_distance
+        return tones._table()
     if metric == "categorical":
-        return categorical_distance
+        return 1.0 - np.eye(150)
     raise InputError(f"unknown metric {metric!r}; choose one of {METRICS}")
+
+
+def _pairwise(regions: Sequence[RegionLexicon], metric: str) -> tuple[np.ndarray, list[str]]:
+    """Mean distance over shared word ids for every region pair, plus warnings.
+
+    Each region becomes a row of canonical codes over the sorted union of word
+    ids (-1 where the word is missing). Shared words are added left to right
+    in sorted word-id order and non-shared ones add an exact 0.0, so each
+    entry equals the plain sum of its pair's distances divided by their count.
+    """
+    table = _metric_table(metric)
+    words = sorted(set().union(*(r.entries for r in regions)))
+    column = {w: k for k, w in enumerate(words)}
+    n = len(regions)
+    codes = np.full((n, len(words)), -1, dtype=np.intp)
+    for row, region in enumerate(regions):
+        codes[row, [column[w] for w in region.entries]] = [
+            tones._code(t) for t in region.entries.values()]
+    present = codes >= 0
+    sizes = present.sum(axis=1)
+    values = np.zeros((n, n))
+    warnings = []
+    for i in range(n - 1):
+        shared = present[i] & present[i + 1:]
+        counts = shared.sum(axis=1)
+        if not counts.all():
+            j = i + 1 + int(np.argmin(counts))
+            raise CorpusError(
+                f"regions {regions[i].region_id!r} and {regions[j].region_id!r} "
+                "share no word ids"
+            )
+        pair = np.where(shared, table[codes[i], codes[i + 1:]], 0.0)
+        row = pair.cumsum(axis=1)[:, -1] / counts
+        values[i, i + 1:] = row
+        values[i + 1:, i] = row
+        skipped = sizes[i] + sizes[i + 1:] - 2 * counts
+        for j in np.flatnonzero(skipped):
+            warnings.append(f"{regions[i].region_id}/{regions[i + 1 + j].region_id}: "
+                            f"skipped {skipped[j]} unshared word(s)")
+    return values, warnings
 
 
 def region_distance(a: RegionLexicon, b: RegionLexicon, metric: str = "tone2vec") -> float:
     """Mean transcription distance over the word ids shared by two regions."""
-    fn = _metric_fn(metric)
-    shared = sorted(a.entries.keys() & b.entries.keys())
-    if not shared:
-        raise CorpusError(
-            f"regions {a.region_id!r} and {b.region_id!r} share no word ids"
-        )
-    return sum(fn(a.entries[w], b.entries[w]) for w in shared) / len(shared)
+    values, _ = _pairwise((a, b), metric)
+    return float(values[0, 1])
 
 
 def region_distance_matrix(corpus: DialectCorpus, metric: str = "tone2vec"
                            ) -> tuple[DistanceMatrix, list[str]]:
     """Pairwise region distances plus warnings for skipped unshared words."""
-    regions = corpus.regions
-    if len(regions) < 2:
+    if len(corpus.regions) < 2:
         raise InputError("pairwise analysis needs at least 2 regions")
-    n = len(regions)
-    values = np.zeros((n, n))
-    warnings = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = regions[i], regions[j]
-            d = region_distance(a, b, metric)
-            values[i, j] = values[j, i] = d
-            skipped = len(a.entries.keys() ^ b.entries.keys())
-            if skipped:
-                warnings.append(
-                    f"{a.region_id}/{b.region_id}: skipped {skipped} unshared word(s)"
-                )
+    values, warnings = _pairwise(corpus.regions, metric)
     return DistanceMatrix(corpus.region_ids, values), warnings
 
 

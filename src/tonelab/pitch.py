@@ -16,7 +16,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import AudioError, InputError, VoicingError
 from . import learn
@@ -61,6 +60,10 @@ def read_wav(path: str | os.PathLike) -> AudioClip:
     """Load a RIFF/WAVE file (PCM or IEEE float); stereo is averaged to mono."""
     if not os.path.exists(path):
         raise AudioError(f"WAV file not found: {path}")
+    # Imported here: scipy.io takes about half of the package's import time,
+    # and only the audio commands read WAV files.
+    from scipy.io import wavfile
+
     try:
         rate, data = wavfile.read(path)
     except Exception as exc:

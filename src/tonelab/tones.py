@@ -12,8 +12,6 @@ import io
 import itertools
 import math
 import os
-import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -24,23 +22,6 @@ from .errors import InputError, TranscriptionError
 
 PITCH_LEVELS = (1, 2, 3, 4, 5)
 CURVE_DOMAIN = (1.0, 3.0)
-
-_TOKEN_RE = re.compile(r"^[1-5]{2,3}$")
-
-# Env var capping worker threads for matrix construction.
-THREADS_ENV_VAR = "TONELAB_THREADS"
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
 
 @dataclass(frozen=True, order=True)
 class Transcription:
@@ -72,15 +53,20 @@ class Transcription:
 
 
 def parse_transcription(text: str) -> Transcription:
-    """Parse a token like "35", "312", or "(35)" into a Transcription."""
+    """Parse a token like "35", "312", or "(35)" into a Transcription.
+
+    Returns the one shared instance of that transcription, so a corpus of
+    thousands of rows holds at most 150 objects.
+    """
     token = text.strip()
     if len(token) >= 2 and token.startswith("(") and token.endswith(")"):
         token = token[1:-1].strip()
-    if not _TOKEN_RE.match(token):
+    t = _INTERNED.get(token)
+    if t is None:
         raise TranscriptionError(
             f"invalid transcription token {text!r}: expected 2-3 digits in 1..5"
         )
-    return Transcription(tuple(int(ch) for ch in token))
+    return t
 
 
 @dataclass(frozen=True)
@@ -113,35 +99,56 @@ def curve_of(t: Transcription) -> PitchCurve:
     return PitchCurve(a, b, p - a - b)
 
 
-def _roots_in_open_interval(a: float, b: float, c: float, lo: float, hi: float) -> list[float]:
-    """Real roots of a*x^2 + b*x + c strictly inside (lo, hi), ascending."""
-    if a == 0.0:
-        if b == 0.0:
-            return []
-        r = -c / b
-        return [r] if lo < r < hi else []
-    disc = b * b - 4.0 * a * c
-    if disc <= 0.0:
-        # A double root does not change the sign, so no split is needed.
-        return []
-    s = math.sqrt(disc)
-    r1 = (-b - s) / (2.0 * a)
-    r2 = (-b + s) / (2.0 * a)
-    return sorted(r for r in (r1, r2) if lo < r < hi)
+def _code(t: Transcription) -> int:
+    """Index of a transcription in canonical order: 0-24 two-digit, 25-149 three-digit."""
+    code = 0
+    for d in t.digits:
+        code = code * 5 + d - 1
+    return code if len(t.digits) == 2 else 25 + code
 
 
-def _abs_poly_integral(a: float, b: float, c: float) -> float:
-    """Integral of |a*x^2 + b*x + c| over the curve domain, in closed form."""
+@lru_cache(maxsize=1)
+def _table() -> np.ndarray:
+    """Read-only 150x150 tone_distance table in canonical order.
+
+    Row i is computed against rows i+1.. in closed form: the roots of the
+    difference polynomial inside (1, 3) split the domain, and the absolute
+    antiderivative differences of the pieces are added left to right. A
+    missing root is replaced by the upper end 3, whose piece adds exactly 0,
+    so every entry equals the scalar evaluation bit for bit. The lower
+    triangle mirrors the upper one: swapping the two curves negates every
+    intermediate value exactly, so the swapped evaluation gives the same bits.
+    """
     lo, hi = CURVE_DOMAIN
-
-    def antiderivative(x: float) -> float:
-        return ((a / 3.0 * x + b / 2.0) * x + c) * x
-
-    points = [lo, *_roots_in_open_interval(a, b, c, lo, hi), hi]
-    total = 0.0
-    for left, right in zip(points, points[1:]):
-        total += abs(antiderivative(right) - antiderivative(left))
-    return total
+    curves = [curve_of(t) for t in canonical_transcriptions()]
+    coef = np.array([[cu.a, cu.b, cu.c] for cu in curves])
+    n = len(coef)
+    table = np.zeros((n, n))
+    for i in range(n - 1):
+        a, b, c = (coef[i] - coef[i + 1:]).T
+        quadratic = a != 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            disc = b * b - 4.0 * a * c
+            s = np.sqrt(disc)
+            r1 = (-b - s) / (2.0 * a)
+            r2 = (-b + s) / (2.0 * a)
+            linear = -c / b
+        # A double root does not change the sign, so no split is needed.
+        two = quadratic & (disc > 0.0)
+        first = np.where(two, np.minimum(r1, r2),
+                         np.where(~quadratic & (b != 0.0), linear, np.nan))
+        second = np.where(two, np.maximum(r1, r2), np.nan)
+        in1 = (lo < first) & (first < hi)
+        in2 = (lo < second) & (second < hi)
+        p1 = np.where(in1, first, np.where(in2, second, hi))
+        p2 = np.where(in1 & in2, second, hi)
+        a3, b2 = a / 3.0, b / 2.0
+        f_lo, f1, f2, f_hi = (((a3 * x + b2) * x + c) * x for x in (lo, p1, p2, hi))
+        row = np.abs(f1 - f_lo) + np.abs(f2 - f1) + np.abs(f_hi - f2)
+        table[i, i + 1:] = row
+        table[i + 1:, i] = row
+    table.setflags(write=False)
+    return table
 
 
 def tone_distance(l1: Transcription, l2: Transcription) -> float:
@@ -150,9 +157,7 @@ def tone_distance(l1: Transcription, l2: Transcription) -> float:
     Symmetric, nonnegative, and zero whenever the curves coincide (which can
     happen for distinct transcriptions, e.g. "35" and "345").
     """
-    c1 = curve_of(l1)
-    c2 = curve_of(l2)
-    return _abs_poly_integral(c1.a - c2.a, c1.b - c2.b, c1.c - c2.c)
+    return float(_table()[_code(l1), _code(l2)])
 
 
 def categorical_distance(l1: Transcription, l2: Transcription) -> int:
@@ -201,34 +206,11 @@ class DistanceMatrix:
 
 
 def build_distance_matrix(ls: Sequence[Transcription]) -> DistanceMatrix:
-    """Pairwise tone_distance matrix; labels preserve input order.
-
-    Rows are computed in parallel when the input is large; every entry depends
-    only on its own (i, j) pair, so the result is identical regardless of
-    scheduling.
-    """
+    """Pairwise tone_distance matrix; labels preserve input order."""
     if len(ls) == 0:
         raise InputError("cannot build a distance matrix from an empty list")
-    n = len(ls)
-    curves = [curve_of(t) for t in ls]
-    values = np.zeros((n, n))
-
-    def fill_row(i: int) -> None:
-        ci = curves[i]
-        for j in range(i + 1, n):
-            cj = curves[j]
-            d = _abs_poly_integral(ci.a - cj.a, ci.b - cj.b, ci.c - cj.c)
-            values[i, j] = d
-            values[j, i] = d
-
-    workers = min(_thread_cap(), n)
-    if workers > 1 and n >= 64:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_row, range(n)))
-    else:
-        for i in range(n):
-            fill_row(i)
-    return DistanceMatrix(tuple(t.token for t in ls), values)
+    codes = [_code(t) for t in ls]
+    return DistanceMatrix(tuple(t.token for t in ls), _table()[np.ix_(codes, codes)])
 
 
 def canonical_transcriptions() -> list[Transcription]:
@@ -238,6 +220,9 @@ def canonical_transcriptions() -> list[Transcription]:
         for digits in itertools.product(PITCH_LEVELS, repeat=k):
             out.append(Transcription(digits))
     return out
+
+
+_INTERNED = {t.token: t for t in canonical_transcriptions()}
 
 
 @lru_cache(maxsize=1)

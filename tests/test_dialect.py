@@ -16,11 +16,14 @@ from tonelab import (
     extract_f0,
     hierarchical_cluster,
     load_corpus,
+    canonical_transcriptions,
+    categorical_distance,
     parse_transcription,
     region_distance,
     region_distance_matrix,
     tone_clustering_pipeline,
     train_tone_model,
+    tone_distance,
     two_cluster_accuracy,
 )
 from .synth import labelled_clip_set, tone_clip
@@ -174,6 +177,101 @@ def test_region_distance_matrix_reports_unshared_words():
     matrix, warnings = region_distance_matrix(DialectCorpus((a, b)))
     assert matrix.values[0, 1] == pytest.approx(2.268354, abs=1e-6)
     assert warnings == ["A/B: skipped 2 unshared word(s)"]
+
+
+def reference_region_matrix(corpus, metric):
+    """Per-pair loop: shared words summed left to right in sorted word-id order.
+
+    An explicit loop, not sum(): Python >= 3.12 compensates float sums.
+    """
+    fn = {"tone2vec": tone_distance, "categorical": categorical_distance}[metric]
+    regions = corpus.regions
+    n = len(regions)
+    values = np.zeros((n, n))
+    warnings = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = regions[i], regions[j]
+            shared = sorted(a.entries.keys() & b.entries.keys())
+            if not shared:
+                raise CorpusError(
+                    f"regions {a.region_id!r} and {b.region_id!r} share no word ids")
+            total = 0.0
+            for w in shared:
+                total += fn(a.entries[w], b.entries[w])
+            values[i, j] = values[j, i] = total / len(shared)
+            skipped = len(a.entries.keys() ^ b.entries.keys())
+            if skipped:
+                warnings.append(f"{a.region_id}/{b.region_id}: skipped {skipped} unshared word(s)")
+    return values, warnings
+
+
+def random_corpus(seed, regions, words, coverage, pool):
+    rng = np.random.default_rng(seed)
+    out = []
+    for r in range(regions):
+        present = rng.random(words) < coverage
+        present[rng.integers(0, words)] = True
+        entries = {f"w{w:03d}": parse_transcription(pool[rng.integers(0, len(pool))])
+                   for w in rng.permutation(np.flatnonzero(present))}
+        out.append(RegionLexicon(f"R{r}", entries))
+    return DialectCorpus(tuple(out))
+
+
+ALL_TOKENS = [t.token for t in canonical_transcriptions()]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_region_matrix_bit_identical_to_pair_loop_tone2vec(seed):
+    corpus = random_corpus(seed, regions=8 + 2 * seed, words=60, coverage=0.6 + 0.05 * seed,
+                           pool=ALL_TOKENS)
+    matrix, warnings = region_distance_matrix(corpus, "tone2vec")
+    ref, ref_warnings = reference_region_matrix(corpus, "tone2vec")
+    assert np.array_equal(matrix.values, ref)
+    assert warnings == ref_warnings
+
+
+def test_region_matrix_bit_identical_to_pair_loop_tie_heavy_categorical():
+    corpus = random_corpus(7, regions=40, words=12, coverage=0.8, pool=["55", "35", "214"])
+    matrix, warnings = region_distance_matrix(corpus, "categorical")
+    ref, ref_warnings = reference_region_matrix(corpus, "categorical")
+    assert np.array_equal(matrix.values, ref)
+    assert warnings == ref_warnings
+    assert len(np.unique(ref[np.triu_indices(len(ref), 1)])) < len(ref)  # many ties
+
+
+def test_region_matrix_pair_sharing_one_word():
+    regions = (
+        RegionLexicon("A", {"w1": parse_transcription("41"), "w2": parse_transcription("35"),
+                            "w3": parse_transcription("214")}),
+        RegionLexicon("B", {"w2": parse_transcription("312"), "w4": parse_transcription("55")}),
+        RegionLexicon("C", {"w1": parse_transcription("13"), "w2": parse_transcription("53"),
+                            "w3": parse_transcription("21"), "w4": parse_transcription("44")}),
+    )
+    corpus = DialectCorpus(regions)
+    for metric in ("tone2vec", "categorical"):
+        matrix, warnings = region_distance_matrix(corpus, metric)
+        ref, ref_warnings = reference_region_matrix(corpus, metric)
+        assert np.array_equal(matrix.values, ref)
+        assert warnings == ref_warnings
+        assert region_distance(regions[0], regions[1], metric) == ref[0, 1]
+
+
+def test_region_matrix_names_first_pair_without_shared_words():
+    w = parse_transcription("35")
+    regions = (
+        RegionLexicon("A", {"w1": w, "w2": w}),
+        RegionLexicon("B", {"w1": w}),
+        RegionLexicon("C", {"w2": w, "w3": w}),
+        RegionLexicon("D", {"w3": w}),
+        RegionLexicon("E", {"w4": w}),
+    )
+    corpus = DialectCorpus(regions)
+    with pytest.raises(CorpusError) as expected:
+        reference_region_matrix(corpus, "tone2vec")
+    with pytest.raises(CorpusError) as got:
+        region_distance_matrix(corpus, "tone2vec")
+    assert str(got.value) == str(expected.value) == "regions 'A' and 'D' share no word ids"
 
 
 # ---------------------------------------------------------------------------

@@ -214,13 +214,66 @@ def test_matrix_database_shape_and_order():
     assert np.all(np.diag(db.values) == 0.0)
 
 
-def test_matrix_threads_env_bit_identical(monkeypatch):
-    ts = canonical_transcriptions()[:80]
-    monkeypatch.setenv("TONELAB_THREADS", "4")
-    parallel = build_distance_matrix(ts)
-    monkeypatch.setenv("TONELAB_THREADS", "1")
-    serial = build_distance_matrix(ts)
-    assert np.array_equal(parallel.values, serial.values)
+def _reference_abs_poly_integral(a: float, b: float, c: float) -> float:
+    """Scalar closed form: |a*x^2 + b*x + c| integrated over [1, 3].
+
+    The real roots inside (1, 3) split the domain; the absolute antiderivative
+    differences of the pieces are added left to right.
+    """
+    lo, hi = 1.0, 3.0
+    if a == 0.0:
+        roots = [] if b == 0.0 else [r for r in (-c / b,) if lo < r < hi]
+    else:
+        disc = b * b - 4.0 * a * c
+        roots = []
+        if disc > 0.0:
+            s = math.sqrt(disc)
+            roots = sorted(r for r in ((-b - s) / (2.0 * a), (-b + s) / (2.0 * a))
+                           if lo < r < hi)
+
+    def antiderivative(x: float) -> float:
+        return ((a / 3.0 * x + b / 2.0) * x + c) * x
+
+    points = [lo, *roots, hi]
+    total = 0.0
+    for left, right in zip(points, points[1:]):
+        total += abs(antiderivative(right) - antiderivative(left))
+    return total
+
+
+def reference_distance(l1: Transcription, l2: Transcription) -> float:
+    c1, c2 = curve_of(l1), curve_of(l2)
+    return _reference_abs_poly_integral(c1.a - c2.a, c1.b - c2.b, c1.c - c2.c)
+
+
+def reference_matrix(ts) -> np.ndarray:
+    memo = {}
+    for a in ts:
+        for b in ts:
+            if (a.digits, b.digits) not in memo:
+                memo[a.digits, b.digits] = reference_distance(a, b)
+    return np.array([[memo[a.digits, b.digits] for b in ts] for a in ts])
+
+
+def test_database_bit_identical_to_scalar_closed_form():
+    # every entry of both triangles, each pair evaluated in its own argument order
+    ts = canonical_transcriptions()
+    ref = reference_matrix(ts)
+    assert np.array_equal(tone_distance_database().values, ref)
+    assert all(tone_distance(a, b) == ref[i, j]
+               for i, a in enumerate(ts) for j, b in enumerate(ts))
+
+
+@pytest.mark.parametrize("order", ["seeded-600-with-repeats", "canonical-reversed"])
+def test_matrix_bit_identical_to_scalar_closed_form(order):
+    ts = canonical_transcriptions()
+    if order == "canonical-reversed":
+        ls = ts[::-1]
+    else:
+        ls = [ts[i] for i in np.random.default_rng(600).integers(0, len(ts), 600)]
+    m = build_distance_matrix(ls)
+    assert m.labels == tuple(t.token for t in ls)
+    assert np.array_equal(m.values, reference_matrix(ls))
 
 
 def test_matrix_validation():
