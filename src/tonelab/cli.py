@@ -7,6 +7,7 @@ configuration and input always produce byte-identical results.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -22,11 +23,11 @@ from .errors import InputError, ToneLabError
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    # 64 KiB slices: encoding a large output whole would add a full copy to peak memory.
+    with (contextlib.nullcontext(sys.stdout) if out_path is None
+          else open(out_path, "w", encoding="utf-8")) as fh:
+        for start in range(0, len(text), 1 << 16):
+            fh.write(text[start : start + (1 << 16)])
 
 
 def _json_text(obj) -> str:

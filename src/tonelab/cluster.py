@@ -11,9 +11,10 @@ Hierarchical clustering supports the seven standard linkage updates:
     mv  minimum variance       Ward update on squared dissimilarities
 
 uc/wc/mv run on squared dissimilarities internally and report merge heights
-as the square root of the updated value. Ties at equal merge height are
-broken by the smallest (i, j) cluster-id pair, and all routines are
-deterministic for a fixed input.
+as the square root of the updated value. Each merge joins the active pair of
+cluster ids i < j with the least height d[i, j], read from the upper triangle
+only (DistanceMatrix allows 1e-9 of asymmetry); ties at equal height go to the
+smallest (i, j) in row-major order. All routines are deterministic.
 """
 from __future__ import annotations
 
@@ -86,12 +87,13 @@ class ClusterAssignment:
         return text
 
 
-def _lance_williams_update(linkage: str, d_ik: float, d_jk: float, d_ij: float,
-                           n_i: int, n_j: int, n_k: int) -> float:
-    if linkage == "sl":
-        return min(d_ik, d_jk)
+def _lance_williams_update(linkage: str, d_ik: np.ndarray, d_jk: np.ndarray, d_ij: float,
+                           n_i: int, n_j: int, n_k: np.ndarray) -> np.ndarray:
+    """Dissimilarities from the merge of i and j to every other cluster k."""
+    if linkage == "sl":  # picks the operand Python's min/max would return
+        return np.where(d_jk < d_ik, d_jk, d_ik)
     if linkage == "cl":
-        return max(d_ik, d_jk)
+        return np.where(d_jk > d_ik, d_jk, d_ik)
     if linkage == "ga":
         return (n_i * d_ik + n_j * d_jk) / (n_i + n_j)
     if linkage == "wa":
@@ -101,10 +103,8 @@ def _lance_williams_update(linkage: str, d_ik: float, d_jk: float, d_ij: float,
         return (n_i * d_ik + n_j * d_jk) / n_ij - (n_i * n_j * d_ij) / (n_ij * n_ij)
     if linkage == "wc":
         return 0.5 * d_ik + 0.5 * d_jk - 0.25 * d_ij
-    if linkage == "mv":
-        n_all = n_i + n_j + n_k
-        return ((n_i + n_k) * d_ik + (n_j + n_k) * d_jk - n_k * d_ij) / n_all
-    raise InputError(f"unknown linkage {linkage!r}; choose one of {LINKAGES}")
+    n_all = n_i + n_j + n_k  # mv
+    return ((n_i + n_k) * d_ik + (n_j + n_k) * d_jk - n_k * d_ij) / n_all
 
 
 def hierarchical_cluster(d: DistanceMatrix, linkage: str) -> Dendrogram:
@@ -116,40 +116,34 @@ def hierarchical_cluster(d: DistanceMatrix, linkage: str) -> Dendrogram:
         raise InputError("hierarchical clustering needs at least 2 items")
 
     squared = linkage in _SQUARED_LINKAGES
-    total = 2 * n - 1
-    # Working dissimilarities between all cluster ids, filled as merges happen.
-    work = np.full((total, total), np.inf)
-    base = d.values.astype(float)
-    work[:n, :n] = base * base if squared else base
-    sizes = {i: 1 for i in range(n)}
+    # Rows/columns 0..m-1 of `work` are the active clusters in ascending id order; a
+    # merge drops its two and appends the new cluster, whose id is the largest.
+    work = d.values.astype(float)
+    if squared:
+        work = work * work
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    ids = np.arange(n)
+    sizes = np.ones(n, dtype=np.int64)
 
     steps = []
     for step in range(n - 1):
-        active = sorted(sizes)
-        best = math.inf
-        pair = None
-        for ai, i in enumerate(active):
-            row = work[i]
-            for j in active[ai + 1:]:
-                v = row[j]
-                if v < best:  # strict: ties keep the smallest (i, j) seen first
-                    best = v
-                    pair = (i, j)
-        i, j = pair
-        new_id = n + step
+        m = n - step
+        # Row-major first minimum of the strict upper triangle: smallest (i, j) of a tie.
+        i, j = divmod(int(np.argmin(np.where(upper[:m, :m], work[:m, :m], np.inf))), m)
+        rest = np.r_[0:i, i + 1:j, j + 1:m]
         d_ij = float(work[i, j])
-        n_i, n_j = sizes[i], sizes[j]
-        for k in active:
-            if k == i or k == j:
-                continue
-            upd = _lance_williams_update(linkage, work[i, k], work[j, k], d_ij,
-                                         n_i, n_j, sizes[k])
-            work[new_id, k] = upd
-            work[k, new_id] = upd
-        del sizes[i], sizes[j]
-        sizes[new_id] = n_i + n_j
+        n_i, n_j = int(sizes[i]), int(sizes[j])
+        upd = _lance_williams_update(linkage, work[i, rest], work[j, rest], d_ij,
+                                     n_i, n_j, sizes[rest])
         height = math.sqrt(max(d_ij, 0.0)) if squared else d_ij
-        steps.append((i, j, height, n_i + n_j))
+        steps.append((int(ids[i]), int(ids[j]), height, n_i + n_j))
+        for p, size in ((j, m), (i, m - 1)):  # drop row and column p, j first
+            work[p : size - 1, :size] = work[p + 1 : size, :size]
+            work[: size - 1, p : size - 1] = work[: size - 1, p + 1 : size]
+            ids[p : size - 1] = ids[p + 1 : size]
+            sizes[p : size - 1] = sizes[p + 1 : size]
+        work[m - 2, : m - 2] = work[: m - 2, m - 2] = upd
+        ids[m - 2], sizes[m - 2] = n + step, n_i + n_j
     return Dendrogram(n, tuple(steps))
 
 
@@ -205,9 +199,10 @@ def dbscan(points: Sequence[Sequence[float]], eps: float, min_samples: int) -> C
         raise InputError("points must share a single vector dimension")
     n = len(pts)
 
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    neighbors = [np.flatnonzero(dist[i] <= eps) for i in range(n)]
+    neighbors = []
+    for p in pts:  # one row at a time: O(n * d) memory
+        r = p - pts
+        neighbors.append(np.flatnonzero(np.sqrt((r * r).sum(axis=1)) <= eps))
     is_core = np.array([len(nb) >= min_samples for nb in neighbors])
 
     labels = [NOISE] * n

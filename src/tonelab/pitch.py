@@ -210,27 +210,24 @@ def extract_f0(
     d = _difference_function(frames, tau_max)
     nd = _cmndf(d)
 
+    # Per frame: the first tau >= tau_min below threshold, then downhill to tau_max at most.
+    below = nd[:, tau_min:] < threshold
+    first = tau_min + below.argmax(axis=1)
+    stop = np.ones(nd.shape, dtype=bool)
+    stop[:, :-1] = ~(nd[:, 1:] < nd[:, :-1])
+    tau = (stop & (np.arange(tau_max + 1) >= first[:, None])).argmax(axis=1)
+
+    # Parabolic refinement of interior dips whose delta lands in (-1, 1).
     n_frames = frames.shape[0]
-    f0 = np.zeros(n_frames)
-    for fi in range(n_frames):
-        row = nd[fi]
-        below = row[tau_min : tau_max + 1] < threshold
-        if not below.any():
-            continue
-        tau = tau_min + int(np.argmax(below))
-        while tau + 1 <= tau_max and row[tau + 1] < row[tau]:
-            tau += 1
-        delta = 0.0
-        if tau_min < tau < tau_max:
-            y0, y1, y2 = row[tau - 1], row[tau], row[tau + 1]
-            denom = y0 - 2.0 * y1 + y2
-            if denom > 0:
-                delta = 0.5 * (y0 - y2) / denom
-                if not -1.0 < delta < 1.0:
-                    delta = 0.0
-        est = sr / (tau + delta)
-        if fmin <= est <= fmax:
-            f0[fi] = est
+    rows = np.arange(n_frames)
+    mid = np.clip(tau, 1, tau_max - 1)
+    y0, y1, y2 = nd[rows, mid - 1], nd[rows, mid], nd[rows, mid + 1]
+    denom = y0 - 2.0 * y1 + y2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = 0.5 * (y0 - y2) / denom
+    refine = (tau_min < tau) & (tau < tau_max) & (denom > 0) & (-1.0 < delta) & (delta < 1.0)
+    est = sr / (tau + np.where(refine, delta, 0.0))
+    f0 = np.where(below.any(axis=1) & (fmin <= est) & (est <= fmax), est, 0.0)
 
     times = (np.arange(n_frames) * hop + frame / 2.0) / sr
     return F0Track(times, f0, hop / sr)

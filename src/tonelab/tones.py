@@ -194,10 +194,17 @@ class DistanceMatrix:
 
     def to_csv(self, path: str | os.PathLike | None = None) -> str:
         """Serialize as CSV: header row of labels, then labelled rows, 6 decimals."""
+        # Each distinct value is formatted once, keyed on bits so -0.0 keeps its sign.
+        bits = self.values.view(np.uint64)
+        distinct: set[int] = set()
+        for row in bits:
+            distinct.update(row.tolist())
+        keys = np.fromiter(distinct, np.uint64, len(distinct))
+        text_of = dict(zip(keys.tolist(), [f"{x:.6f}" for x in keys.view(np.float64).tolist()]))
         buf = io.StringIO()
         buf.write("label," + ",".join(self.labels) + "\n")
-        for label, row in zip(self.labels, self.values):
-            buf.write(label + "," + ",".join(f"{x:.6f}" for x in row) + "\n")
+        for label, row in zip(self.labels, bits):
+            buf.write(label + "," + ",".join(map(text_of.__getitem__, row.tolist())) + "\n")
         text = buf.getvalue()
         if path is not None:
             with open(path, "w", encoding="utf-8") as fh:

@@ -7,14 +7,19 @@ from tonelab import (
     ClusterAssignment,
     ConvergenceError,
     Dendrogram,
+    DialectCorpus,
     DistanceMatrix,
     InputError,
     LINKAGES,
     NOISE,
+    RegionLexicon,
+    canonical_transcriptions,
     classical_mds,
     cut_tree,
     dbscan,
     hierarchical_cluster,
+    parse_transcription,
+    region_distance_matrix,
     two_cluster_accuracy,
 )
 
@@ -219,6 +224,138 @@ def test_linkage_input_validation():
 
 
 # ---------------------------------------------------------------------------
+# bit-identity against the scalar merge loop the vectorized kernel replaced
+
+
+def _scalar_update(linkage, d_ik, d_jk, d_ij, n_i, n_j, n_k):
+    if linkage == "sl":
+        return min(d_ik, d_jk)
+    if linkage == "cl":
+        return max(d_ik, d_jk)
+    if linkage == "ga":
+        return (n_i * d_ik + n_j * d_jk) / (n_i + n_j)
+    if linkage == "wa":
+        return 0.5 * (d_ik + d_jk)
+    if linkage == "uc":
+        n_ij = n_i + n_j
+        return (n_i * d_ik + n_j * d_jk) / n_ij - (n_i * n_j * d_ij) / (n_ij * n_ij)
+    if linkage == "wc":
+        return 0.5 * d_ik + 0.5 * d_jk - 0.25 * d_ij
+    n_all = n_i + n_j + n_k
+    return ((n_i + n_k) * d_ik + (n_j + n_k) * d_jk - n_k * d_ij) / n_all
+
+
+def scalar_linkage_steps(dm, linkage):
+    """Frozen copy of the pair-scanning loop: every active pair, every merge."""
+    n = len(dm)
+    squared = linkage in ("uc", "wc", "mv")
+    total = 2 * n - 1
+    work = np.full((total, total), np.inf)
+    base = dm.values.astype(float)
+    work[:n, :n] = base * base if squared else base
+    sizes = {i: 1 for i in range(n)}
+    steps = []
+    for step in range(n - 1):
+        active = sorted(sizes)
+        best, pair = math.inf, None
+        for ai, i in enumerate(active):
+            row = work[i]
+            for j in active[ai + 1:]:
+                if row[j] < best:
+                    best, pair = row[j], (i, j)
+        i, j = pair
+        new_id = n + step
+        d_ij = float(work[i, j])
+        n_i, n_j = sizes[i], sizes[j]
+        for k in active:
+            if k != i and k != j:
+                upd = _scalar_update(linkage, work[i, k], work[j, k], d_ij,
+                                     n_i, n_j, sizes[k])
+                work[new_id, k] = work[k, new_id] = upd
+        del sizes[i], sizes[j]
+        sizes[new_id] = n_i + n_j
+        height = math.sqrt(max(d_ij, 0.0)) if squared else d_ij
+        steps.append((i, j, height, n_i + n_j))
+    return tuple(steps)
+
+
+def _exact(steps):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [(a, b, float(h).hex(), s) for a, b, h, s in steps]
+
+
+def _seeded_matrix(rng, n, kind, jitter):
+    if kind == "uniform":
+        v = rng.uniform(0.0, 10.0, (n, n))
+    elif kind == "int0-3":
+        v = rng.integers(0, 4, (n, n)).astype(float)
+    elif kind == "deciles":
+        v = np.round(rng.uniform(0.0, 1.0, (n, n)), 1)
+    else:  # "int0-2"
+        v = rng.integers(0, 3, (n, n)).astype(float)
+    v = np.triu(v, 1)
+    v = v + v.T
+    if jitter:  # upper triangle only: asymmetric within the 1e-9 tolerance
+        v = v + np.triu(rng.uniform(0.0, 1e-9, (n, n)), 1)
+    np.fill_diagonal(v, 0.0)
+    return DistanceMatrix(tuple(str(i) for i in range(n)), v)
+
+
+@pytest.mark.parametrize("jitter", [False, True], ids=["symmetric", "asymmetric"])
+@pytest.mark.parametrize("kind", ["uniform", "int0-3", "deciles", "int0-2"])
+def test_linkage_bit_identical_to_scalar_loop(kind, jitter):
+    rng = np.random.default_rng([len(kind), int(jitter), 4])
+    for n in (2, 3, 5, 8, 13, 21, 34, 60):
+        dm = _seeded_matrix(rng, n, kind, jitter)
+        for linkage in LINKAGES:
+            assert _exact(hierarchical_cluster(dm, linkage).steps) == \
+                _exact(scalar_linkage_steps(dm, linkage)), (n, linkage)
+
+
+def test_linkage_bit_identical_on_categorical_survey_matrix():
+    # 180 regions x 10 words under the categorical metric: every height is a
+    # multiple of 1/10, so nearly every merge is a tie
+    rng = np.random.default_rng(180)
+    tokens = [t.token for t in canonical_transcriptions()]
+    template = rng.choice(len(tokens), 10)
+    regions = []
+    for r in range(180):
+        codes = template.copy()
+        swap = rng.random(10) < 0.3
+        codes[swap] = rng.choice(len(tokens), int(swap.sum()))
+        regions.append(RegionLexicon(
+            f"R{r:03d}", {f"w{w}": parse_transcription(tokens[c]) for w, c in enumerate(codes)}))
+    dm, _ = region_distance_matrix(DialectCorpus(tuple(regions)), "categorical")
+    for linkage in LINKAGES:
+        assert _exact(hierarchical_cluster(dm, linkage).steps) == \
+            _exact(scalar_linkage_steps(dm, linkage)), linkage
+
+
+def test_sl_cl_signed_zeros_and_equal_values():
+    # -0.0 passes DistanceMatrix validation; min/max of equal operands must
+    # return the same operand (and so the same sign) as the scalar loop
+    z = -0.0
+    values = np.array([
+        [0.0, z, 0.0, 1.0, 1.0],
+        [z, 0.0, z, 1.0, 0.0],
+        [0.0, z, 0.0, z, 1.0],
+        [1.0, 1.0, z, 0.0, 1.0],
+        [1.0, 0.0, 1.0, 1.0, 0.0],
+    ])
+    # three items: (0, 1) merges first, then d_ik and d_jk are equal zeros of
+    # either sign, and the second height is the operand min/max picked
+    triples = [np.array([[0.0, 0.0, a], [0.0, 0.0, b], [a, b, 0.0]])
+               for a, b in ((0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0))]
+    for v in [values, *triples]:
+        dm = DistanceMatrix(tuple("abcde"[: len(v)]), v)
+        for linkage in LINKAGES:
+            got = _exact(hierarchical_cluster(dm, linkage).steps)
+            assert got == _exact(scalar_linkage_steps(dm, linkage)), (v, linkage)
+    heights = {h for _, _, h, _ in _exact(hierarchical_cluster(dm, "sl").steps)}
+    assert "-0x0.0p+0" in heights
+
+
+# ---------------------------------------------------------------------------
 # cut_tree
 
 
@@ -324,6 +461,20 @@ def test_dbscan_matches_brute_force_reference():
         eps = float(rng.uniform(0.2, 1.2))
         min_samples = int(rng.integers(2, 8))
         assert dbscan(pts, eps, min_samples).labels == brute_force_dbscan(pts, eps, min_samples)
+
+
+def test_dbscan_points_at_exactly_eps_match_brute_force():
+    # integer points: axis steps of 5 and 3-4-5 diagonals sit exactly at eps
+    rng = np.random.default_rng(345)
+    for scale in ([5.0], [3.0, 4.0], [3.0, 4.0, 5.0]):
+        for _ in range(6):
+            n = int(rng.integers(10, 80))
+            pts = rng.integers(0, 4, (n, len(scale))) * np.array(scale)
+            diff = pts[:, None] - pts[None, :]
+            assert np.any(np.sqrt((diff * diff).sum(-1)) == 5.0)
+            for min_samples in (2, 4, 7):
+                assert dbscan(pts, 5.0, min_samples).labels == \
+                    brute_force_dbscan(pts, 5.0, min_samples)
 
 
 def test_dbscan_noise_set_permutation_invariant():

@@ -14,7 +14,7 @@ from tonelab import (
     f0_baseline_triple,
     read_wav,
 )
-from tonelab.pitch import _difference_function
+from tonelab.pitch import _cmndf, _difference_function, _frame_matrix
 from .synth import SR, constant_track, tone_clip, tone_track
 
 
@@ -89,6 +89,77 @@ def test_difference_function_matches_direct_loop():
         for tau in range(tau_max + 1):
             direct = np.sum((frames[fi, :w] - frames[fi, tau:tau + w]) ** 2)
             assert fast[fi, tau] == pytest.approx(direct, rel=1e-9, abs=1e-9)
+
+
+def reference_f0(clip, frame_ms=40.0, hop_ms=10.0, fmin=50.0, fmax=600.0, threshold=0.15):
+    """Frozen copy of the per-frame dip search; also returns each dip's tau."""
+    sr = clip.sample_rate
+    frame = int(round(frame_ms * sr / 1000.0))
+    hop = int(round(hop_ms * sr / 1000.0))
+    tau_max = int(sr / fmin)
+    tau_min = max(2, int(sr / fmax))
+    nd = _cmndf(_difference_function(_frame_matrix(clip.samples, frame, hop), tau_max))
+    f0 = np.zeros(len(nd))
+    taus = []
+    for fi, row in enumerate(nd):
+        below = row[tau_min:tau_max + 1] < threshold
+        if not below.any():
+            continue
+        tau = tau_min + int(np.argmax(below))
+        while tau + 1 <= tau_max and row[tau + 1] < row[tau]:
+            tau += 1
+        taus.append(tau)
+        delta = 0.0
+        if tau_min < tau < tau_max:
+            y0, y1, y2 = row[tau - 1], row[tau], row[tau + 1]
+            denom = y0 - 2.0 * y1 + y2
+            if denom > 0:
+                delta = 0.5 * (y0 - y2) / denom
+                if not -1.0 < delta < 1.0:
+                    delta = 0.0
+        est = sr / (tau + delta)
+        if fmin <= est <= fmax:
+            f0[fi] = est
+    return f0, taus, (tau_min, tau_max)
+
+
+@pytest.mark.parametrize("case", [
+    "sweeps", "glide-22050", "noise", "silence", "constant", "noisy-sine-8000",
+    "dip-at-tau-min", "dip-at-tau-min-narrow", "dip-at-tau-max", "dip-at-tau-max-narrow",
+])
+def test_extract_f0_bit_identical_to_per_frame_loop(case):
+    rng = np.random.default_rng(len(case))
+    edge = None
+    kw = {}
+    if case == "sweeps":
+        clips = [tone_clip(t, base_hz=rng.uniform(90, 300), rng=rng)
+                 for t in ("55", "35", "214", "51", "313", "24")]
+    elif case == "glide-22050":
+        t = np.arange(int(0.5 * 22050)) / 22050
+        clips = [AudioClip(0.6 * np.sin(2 * np.pi * np.cumsum(80.0 + 900.0 * t) / 22050), 22050)]
+    elif case == "noise":
+        clips = [AudioClip(a * rng.uniform(-1, 1, SR // 2), SR) for a in (0.01, 0.5, 1.0)]
+    elif case == "silence":
+        clips = [AudioClip(np.zeros(SR // 2), SR)]
+    elif case == "constant":  # rounding leaves runs of equal zeros to descend over
+        clips = [AudioClip(np.full(SR // 2, 0.5), SR), AudioClip(np.full(4000, -0.25), 8000)]
+    elif case == "noisy-sine-8000":
+        s = sine_clip(150.0, sr=8000).samples
+        clips = [AudioClip(np.clip(s + 0.3 * rng.standard_normal(len(s)), -1, 1), 8000)]
+    elif case == "dip-at-tau-min":
+        clips, edge = [sine_clip(610.0)], 0
+    elif case == "dip-at-tau-min-narrow":
+        clips, edge, kw = [sine_clip(199.25)], 0, dict(fmin=100.0, fmax=200.0)
+    elif case == "dip-at-tau-max":
+        clips, edge = [sine_clip(50.0)], 1
+    else:
+        clips, edge, kw = [sine_clip(100.2)], 1, dict(fmin=100.0, fmax=300.0)
+    for clip in clips:
+        ref, taus, bounds = reference_f0(clip, **kw)
+        got = extract_f0(clip, **kw).f0
+        assert got.tobytes() == ref.tobytes()
+        if edge is not None:
+            assert bounds[edge] in taus
 
 
 def test_sine_440_tracked_within_one_hz():

@@ -295,6 +295,43 @@ def test_matrix_csv_format():
     assert lines[2] == "312,2.268354,0.000000"
 
 
+def reference_csv(m: DistanceMatrix) -> str:
+    """Frozen copy of the writer that formats every entry with an f-string."""
+    lines = ["label," + ",".join(m.labels) + "\n"]
+    for label, row in zip(m.labels, m.values):
+        lines.append(label + "," + ",".join(f"{x:.6f}" for x in row) + "\n")
+    return "".join(lines)
+
+
+def _signed_zero_matrix() -> DistanceMatrix:
+    # -0.0 passes validation and prints as "-0.000000"; values that round to
+    # the same 6 decimals must still be formatted one by one
+    v = np.array([
+        [0.0, -0.0, 1e-7, 2.0000004],
+        [-0.0, -0.0, 0.0, 2.0000006],
+        [1e-7, 0.0, 0.0, -0.0],
+        [2.0000004, 2.0000006, -0.0, 0.0],
+    ])
+    return DistanceMatrix(("a", "b", "c", "d"), v)
+
+
+@pytest.mark.parametrize("which", ["seeded-600", "database", "signed-zeros"])
+def test_csv_byte_identical_to_per_entry_writer(which, tmp_path):
+    if which == "seeded-600":
+        ts = canonical_transcriptions()
+        m = build_distance_matrix(
+            [ts[i] for i in np.random.default_rng(601).integers(0, len(ts), 600)])
+    elif which == "database":
+        m = tone_distance_database()
+    else:
+        m = _signed_zero_matrix()
+    path = tmp_path / "m.csv"
+    assert m.to_csv(path) == reference_csv(m)
+    assert path.read_bytes() == reference_csv(m).encode("utf-8")
+    if which == "signed-zeros":
+        assert "-0.000000" in m.to_csv()
+
+
 # ---------------------------------------------------------------------------
 # categorical distance
 
