@@ -7,7 +7,6 @@ configuration and input always produce byte-identical results.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import os
@@ -20,14 +19,6 @@ from . import learn
 from . import pitch as pitchmod
 from . import tones
 from .errors import InputError, ToneLabError
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    # 64 KiB slices: encoding a large output whole would add a full copy to peak memory.
-    with (contextlib.nullcontext(sys.stdout) if out_path is None
-          else open(out_path, "w", encoding="utf-8")) as fh:
-        for start in range(0, len(text), 1 << 16):
-            fh.write(text[start : start + (1 << 16)])
 
 
 def _json_text(obj) -> str:
@@ -78,17 +69,17 @@ def _read_token_file(path: str) -> list[tones.Transcription]:
 
 def _cmd_dist(args: argparse.Namespace) -> int:
     if args.matrix:
-        _emit(tones.tone_distance_database().to_csv(), args.out)
+        tones._write_text(tones.tone_distance_database().to_csv(), args.out)
         return 0
     if args.tokens_file:
         matrix = tones.build_distance_matrix(_read_token_file(args.tokens_file))
-        _emit(matrix.to_csv(), args.out)
+        tones._write_text(matrix.to_csv(), args.out)
         return 0
     if len(args.tokens) != 2:
         raise InputError("provide two transcription tokens, --tokens-file, or --matrix")
     l1 = tones.parse_transcription(args.tokens[0])
     l2 = tones.parse_transcription(args.tokens[1])
-    _emit(f"{tones.tone_distance(l1, l2):.6f}\n", args.out)
+    tones._write_text(f"{tones.tone_distance(l1, l2):.6f}\n", args.out)
     return 0
 
 
@@ -240,21 +231,15 @@ def _cmd_dialect_cluster(args: argparse.Namespace) -> int:
         for region in corpus.region_ids:
             row = [str(report["linkages"][name]["labels"][region]) for name in linkage_names]
             lines.append(region + "," + ",".join(row))
-        with open(args.out_csv, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        tones._write_text("\n".join(lines) + "\n", args.out_csv)
     return 0
 
 
 def _cmd_dialect_mds(args: argparse.Namespace) -> int:
     corpus = dialectmod.load_corpus(args.corpus)
-    if args.dims == 1:
-        embedding = dialectmod.dialect_variance_map(corpus, metric=args.metric)
-        text = clustering.mds_to_csv(embedding.region_ids, embedding.coords[:, None])
-    else:
-        matrix, _ = dialectmod.region_distance_matrix(corpus, metric=args.metric)
-        coords = clustering.classical_mds(matrix, dims=args.dims)
-        text = clustering.mds_to_csv(matrix.labels, coords)
-    _emit(text, args.out)
+    matrix, _ = dialectmod.region_distance_matrix(corpus, metric=args.metric)
+    coords = clustering.classical_mds(matrix, dims=args.dims)
+    tones._write_text(clustering.mds_to_csv(matrix.labels, coords), args.out)
     return 0
 
 

@@ -27,8 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, InputError
-from .tones import DistanceMatrix
+from .errors import InputError
+from .tones import DistanceMatrix, _write_text
 
 LINKAGES = ("sl", "cl", "ga", "wa", "uc", "wc", "mv")
 _SQUARED_LINKAGES = frozenset({"uc", "wc", "mv"})
@@ -55,10 +55,7 @@ class Dendrogram:
         for a, b, h, size in self.steps:
             buf.write(f"{a},{b},{h:.6f},{size}\n")
         text = buf.getvalue()
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return text
+        return text if path is None else _write_text(text, path)
 
 
 @dataclass(frozen=True)
@@ -81,10 +78,7 @@ class ClusterAssignment:
         for name, label in zip(names, self.labels):
             buf.write(f"{name},{label}\n")
         text = buf.getvalue()
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return text
+        return text if path is None else _write_text(text, path)
 
 
 def _lance_williams_update(linkage: str, d_ik: np.ndarray, d_jk: np.ndarray, d_ij: float,
@@ -107,6 +101,15 @@ def _lance_williams_update(linkage: str, d_ik: np.ndarray, d_jk: np.ndarray, d_i
     return ((n_i + n_k) * d_ik + (n_j + n_k) * d_jk - n_k * d_ij) / n_all
 
 
+def _squared(d: DistanceMatrix) -> np.ndarray:
+    """Elementwise squares of the distances; InputError if any overflows."""
+    with np.errstate(over="ignore"):
+        d2 = d.values * d.values
+    if not np.isfinite(d2).all():
+        raise InputError("distances above ~1.3e154 overflow when squared")
+    return d2
+
+
 def hierarchical_cluster(d: DistanceMatrix, linkage: str) -> Dendrogram:
     """Agglomerate a distance matrix bottom-up under the given linkage."""
     if linkage not in LINKAGES:
@@ -118,9 +121,7 @@ def hierarchical_cluster(d: DistanceMatrix, linkage: str) -> Dendrogram:
     squared = linkage in _SQUARED_LINKAGES
     # Rows/columns 0..m-1 of `work` are the active clusters in ascending id order; a
     # merge drops its two and appends the new cluster, whose id is the largest.
-    work = d.values.astype(float)
-    if squared:
-        work = work * work
+    work = _squared(d) if squared else d.values.copy()
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     ids = np.arange(n)
     sizes = np.ones(n, dtype=np.int64)
@@ -231,9 +232,10 @@ def dbscan(points: Sequence[Sequence[float]], eps: float, min_samples: int) -> C
 def classical_mds(d: DistanceMatrix, dims: int) -> np.ndarray:
     """Torgerson MDS coordinates, shape (n, dims).
 
-    Double-centers the squared distances and extracts the top eigenpairs by
-    shifted power iteration with deflation; each coordinate column is sign-
-    fixed so the first item is nonnegative.
+    Double-centers the squared distances and takes the top `dims` eigenpairs
+    of the result from `numpy.linalg.eigh`, largest first; each eigenvector is
+    scaled by the square root of its eigenvalue (negative eigenvalues count as
+    0) and sign-fixed so the first item is nonnegative.
     """
     if dims not in (1, 2):
         raise InputError("dims must be 1 or 2")
@@ -241,59 +243,14 @@ def classical_mds(d: DistanceMatrix, dims: int) -> np.ndarray:
     if n < dims + 1:
         raise InputError(f"need at least {dims + 1} items for a {dims}-D embedding")
 
-    d2 = d.values * d.values
+    d2 = _squared(d)
     centering = np.eye(n) - np.full((n, n), 1.0 / n)
     b = -0.5 * centering @ d2 @ centering
     b = 0.5 * (b + b.T)  # enforce exact symmetry
 
-    # Shift makes the matrix positive semidefinite so power iteration finds
-    # the largest *algebraic* eigenvalue of b. The Gershgorin lower bound
-    # keeps the shift small; an oversized shift would flatten the eigengap
-    # ratios and stall convergence.
-    off_diag = np.abs(b).sum(axis=1) - np.abs(np.diag(b))
-    shift = max(0.0, -float((np.diag(b) - off_diag).min()))
-    m = b + shift * np.eye(n)
-    scale = max(1.0, float(np.abs(m).sum(axis=1).max()))
-
-    coords = np.zeros((n, dims))
-    # Fixed-seed start vectors keep the routine deterministic. Each deflation
-    # stage draws a fresh start and re-orthogonalizes against the eigenvectors
-    # already found: with a degenerate top eigenvalue the first stage absorbs
-    # the start vector's entire eigenspace component, so reusing it would
-    # leave nothing pointing along the remaining eigendirection.
-    rng = np.random.default_rng(1729)
-    tol = 1e-10
-    found: list[np.ndarray] = []
-    for dim in range(dims):
-        vec = rng.standard_normal(n)
-        theta = 0.0
-        residual = math.inf
-        for _ in range(10000):
-            for prev in found:
-                vec = vec - prev * (prev @ vec)
-            norm = np.linalg.norm(vec)
-            if norm == 0.0:
-                break  # eigenvalue 0: any unit vector in the null space works
-            vec = vec / norm
-            theta = float(vec @ (m @ vec))
-            residual = float(np.linalg.norm(m @ vec - theta * vec))
-            if residual <= tol * scale:
-                break
-            vec = m @ vec
-        else:
-            raise ConvergenceError(
-                f"power iteration did not converge for dimension {dim}: "
-                f"residual {residual:.3e}"
-            )
-        eigenvalue = theta - shift
-        coords[:, dim] = vec * math.sqrt(max(eigenvalue, 0.0))
-        m = m - theta * np.outer(vec, vec)
-        found.append(vec.copy())
-
-    for dim in range(dims):
-        if coords[0, dim] < 0:
-            coords[:, dim] = -coords[:, dim]
-    return coords
+    w, v = np.linalg.eigh(b)  # ascending eigenvalues
+    coords = v[:, ::-1][:, :dims] * np.sqrt(np.maximum(w[::-1][:dims], 0.0))
+    return coords * np.where(coords[0] < 0, -1.0, 1.0)
 
 
 def mds_to_csv(labels: Sequence[str], coords: np.ndarray,
@@ -308,10 +265,7 @@ def mds_to_csv(labels: Sequence[str], coords: np.ndarray,
     for label, row in zip(labels, coords):
         buf.write(label + "," + ",".join(f"{x:.6f}" for x in row) + "\n")
     text = buf.getvalue()
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    return text if path is None else _write_text(text, path)
 
 
 def two_cluster_accuracy(pred: ClusterAssignment | Sequence[int],

@@ -28,7 +28,3 @@ class AudioError(InputError):
 
 class VoicingError(ToneLabError):
     """Too few voiced frames to extract a pitch contour."""
-
-
-class ConvergenceError(ToneLabError):
-    """An iterative numerical routine failed to converge."""

@@ -1,5 +1,6 @@
-"""Pitch-triple loss, its subgradient, the transcription decoder, and a small
-trainable contour-to-transcription regressor.
+"""Pitch-triple loss, its subgradient, the transcription decoder (also behind
+the quadratic-fit F0 baseline), and a small trainable contour-to-transcription
+regressor.
 
 A model predicts three pitch levels z = (z1, z2, z3), each in [1, 5]. Labels
 are transcriptions of length 2 or 3. The loss compares z against the label's
@@ -18,7 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .tones import Transcription
+from .pitch import F0Track, f0_baseline_triple
+from .tones import Transcription, _write_text
 
 PitchTriple = tuple[float, float, float]
 
@@ -92,6 +94,11 @@ def decode_transcription(z: Sequence[float], beta: float = DEFAULT_BETA) -> Tran
     return Transcription(tuple(_clamp_digit(_round_half_away(v)) for v in digits))
 
 
+def f0_baseline_transcribe(track: F0Track, beta: float = DEFAULT_BETA) -> Transcription:
+    """Quadratic-fit baseline: transcribe a tone directly from its F0 track."""
+    return decode_transcription(f0_baseline_triple(track), beta)
+
+
 def _as_feature_array(x) -> np.ndarray:
     values = getattr(x, "values", x)
     arr = np.asarray(values, dtype=float)
@@ -136,8 +143,7 @@ class LinearToneModel:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def save(self, path: str | os.PathLike) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
+        _write_text(self.to_json(), path)
 
     @classmethod
     def from_json(cls, text: str) -> "LinearToneModel":

@@ -1,5 +1,5 @@
 """Audio ingestion, F0 contour extraction, contour features, and the
-quadratic-fit baseline transcriber.
+quadratic-fit baseline pitch triple.
 
 F0 estimation is autocorrelation-based with the cumulative mean normalized
 difference function: per frame, the difference d(tau) between the frame and
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AudioError, InputError, VoicingError
-from . import learn
-from .tones import Transcription
+from .tones import _write_text
 
 F0_FLOOR_HZ = 50.0
 F0_CEIL_HZ = 600.0
@@ -124,10 +123,7 @@ class F0Track:
         for t, f in zip(self.times, self.f0):
             buf.write(f"{t:.6f},{f:.6f}\n")
         text = buf.getvalue()
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return text
+        return text if path is None else _write_text(text, path)
 
 
 def _frame_matrix(x: np.ndarray, frame: int, hop: int) -> np.ndarray:
@@ -316,8 +312,3 @@ def f0_baseline_triple(track: F0Track) -> tuple[float, float, float]:
     picked = fitted[[1, 9, 18]]
     scaled = 1.0 + 4.0 * (picked - lo) / (hi - lo)
     return (float(scaled[0]), float(scaled[1]), float(scaled[2]))
-
-
-def f0_baseline_transcribe(track: F0Track, beta: float = learn.DEFAULT_BETA) -> Transcription:
-    """Quadratic-fit baseline: transcribe a tone directly from its F0 track."""
-    return learn.decode_transcription(f0_baseline_triple(track), beta)

@@ -8,10 +8,12 @@ area between their curves, computed in closed form.
 """
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 import math
 import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -22,6 +24,17 @@ from .errors import InputError, TranscriptionError
 
 PITCH_LEVELS = (1, 2, 3, 4, 5)
 CURVE_DOMAIN = (1.0, 3.0)
+
+
+def _write_text(text: str, path: str | os.PathLike | None) -> str:
+    """Write text to path, or to stdout if path is None; return text."""
+    # 64 KiB slices: encoding a large output whole would add a full copy to peak memory.
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8")) as fh:
+        for start in range(0, len(text), 1 << 16):
+            fh.write(text[start : start + (1 << 16)])
+    return text
+
 
 @dataclass(frozen=True, order=True)
 class Transcription:
@@ -186,7 +199,9 @@ class DistanceMatrix:
             raise InputError("distance matrix contains negative entries")
         if np.any(np.diag(v) != 0):
             raise InputError("distance matrix diagonal must be zero")
-        if not np.allclose(v, v.T, rtol=0.0, atol=1e-9):
+        asym = v - v.T  # |v - v.T| in place: one n x n temporary
+        np.abs(asym, out=asym)
+        if not (asym <= 1e-9).all():
             raise InputError("distance matrix must be symmetric")
 
     def __len__(self) -> int:
@@ -206,10 +221,7 @@ class DistanceMatrix:
         for label, row in zip(self.labels, bits):
             buf.write(label + "," + ",".join(map(text_of.__getitem__, row.tolist())) + "\n")
         text = buf.getvalue()
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return text
+        return text if path is None else _write_text(text, path)
 
 
 def build_distance_matrix(ls: Sequence[Transcription]) -> DistanceMatrix:

@@ -1,11 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from tonelab import (
     ClusterAssignment,
-    ConvergenceError,
     Dendrogram,
     DialectCorpus,
     DistanceMatrix,
@@ -221,6 +221,23 @@ def test_linkage_input_validation():
         hierarchical_cluster(dm, "nope")
     with pytest.raises(InputError):
         hierarchical_cluster(DistanceMatrix(("a",), np.zeros((1, 1))), "sl")
+
+
+def _huge_matrix():
+    """Valid distances whose squares overflow to inf."""
+    values = np.array([[0.0, 1e200, 2e200], [1e200, 0.0, 3e200], [2e200, 3e200, 0.0]])
+    return DistanceMatrix(("a", "b", "c"), values)
+
+
+@pytest.mark.parametrize("linkage", LINKAGES)
+def test_linkage_rejects_distances_whose_squares_overflow(linkage):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow RuntimeWarning either
+        if linkage in ("uc", "wc", "mv"):
+            with pytest.raises(InputError, match="overflow when squared"):
+                hierarchical_cluster(_huge_matrix(), linkage)
+        else:
+            assert hierarchical_cluster(_huge_matrix(), linkage).steps[0][:2] == (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +587,32 @@ def test_mds_one_dim_reproduces_pairwise_distances():
         embedded = np.abs(coords[:, None] - coords[None, :])
         mask = d > 0
         assert np.max(np.abs(embedded[mask] - d[mask]) / d[mask]) < 1e-6
+
+
+@pytest.mark.parametrize("dims", (1, 2))
+@pytest.mark.parametrize("stretch", (1e-3, 1e-5, 1e-7))
+def test_mds_stretched_circle_nearly_degenerate_top_eigenvalue(stretch, dims):
+    # 12 points on a circle stretched along x: the top eigenvalues of the centred
+    # matrix, 6 (1 + stretch)^2 and 6, are nearly equal, with the x and y axes as
+    # their exact eigenvectors.
+    theta = 2 * np.pi * np.arange(12) / 12
+    pts = np.column_stack([(1 + stretch) * np.cos(theta), np.sin(theta)])
+    d = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
+    coords = classical_mds(DistanceMatrix(tuple(map(str, range(12))), d), dims)
+    assert coords.shape == (12, dims)
+    assert np.isfinite(coords).all()
+    assert (coords[0] >= 0).all()
+    ref = pts[:, :dims]
+    embedded = np.sqrt(((coords[:, None] - coords[None, :]) ** 2).sum(-1))
+    exact = np.sqrt(((ref[:, None] - ref[None, :]) ** 2).sum(-1))
+    assert np.allclose(embedded, exact, atol=1e-6)
+
+
+def test_mds_rejects_distances_whose_squares_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="overflow when squared"):
+            classical_mds(_huge_matrix(), 2)
 
 
 def test_mds_dims_validation():
