@@ -245,10 +245,15 @@ def classical_mds(d: DistanceMatrix, dims: int) -> np.ndarray:
 
     d2 = _squared(d)
     centering = np.eye(n) - np.full((n, n), 1.0 / n)
-    b = -0.5 * centering @ d2 @ centering
-    b = 0.5 * (b + b.T)  # enforce exact symmetry
-
-    w, v = np.linalg.eigh(b)  # ascending eigenvalues
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = -0.5 * centering @ d2 @ centering
+        b = 0.5 * (b + b.T)  # enforce exact symmetry
+    finite = np.isfinite(b).all()
+    if finite:
+        w, v = np.linalg.eigh(b)  # ascending eigenvalues
+        finite = np.isfinite(w).all()  # LAPACK overflows on entries near the float limit
+    if not finite:
+        raise InputError("distances too large for MDS: the centred squared distances overflow")
     coords = v[:, ::-1][:, :dims] * np.sqrt(np.maximum(w[::-1][:dims], 0.0))
     return coords * np.where(coords[0] < 0, -1.0, 1.0)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import math
 import os
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,17 +56,59 @@ class AudioClip:
         return len(self.samples) / self.sample_rate
 
 
+# (format tag, bytes per sample) -> sample dtype; 24-bit PCM is widened below.
+_WAV_DTYPES = {(1, 1): "u1", (1, 2): "<i2", (1, 3): "<i4", (1, 4): "<i4",
+               (3, 4): "<f4", (3, 8): "<f8"}
+_WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+_KSDATAFORMAT_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def _decode_wav(raw: bytes) -> tuple[int, np.ndarray]:
+    """(rate, samples) from RIFF/WAVE bytes; samples are (frames, channels) if
+    there is more than one channel. Raises ValueError or struct.error."""
+    if raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
+        raise ValueError("not a RIFF/WAVE file")
+    fmt = None
+    pos = 12
+    while pos + 8 <= len(raw):
+        chunk, size = struct.unpack_from("<4sI", raw, pos)
+        pos += 8
+        if chunk == b"fmt ":
+            if size < 16:
+                raise ValueError(f"fmt chunk of {size} bytes")
+            tag, channels, rate, _, block_align, _ = struct.unpack_from("<HHIIHH", raw, pos)
+            # The subformat GUID of an extensible header starts with the format tag.
+            guid = raw[pos + 24:pos + 40] if size >= 40 else b""
+            if tag == _WAVE_FORMAT_EXTENSIBLE and guid[4:] == _KSDATAFORMAT_TAIL:
+                (tag,) = struct.unpack_from("<I", guid)
+            if channels == 0 or block_align % channels:
+                raise ValueError(f"{channels} channels with {block_align}-byte frames")
+            width = block_align // channels
+            if (tag, width) not in _WAV_DTYPES:
+                raise ValueError(f"unsupported format tag {tag} with {8 * width}-bit samples")
+            fmt = (channels, rate, width, np.dtype(_WAV_DTYPES[tag, width]))
+        elif chunk == b"data":
+            if fmt is None:
+                raise ValueError("data chunk before fmt chunk")
+            channels, rate, width, dtype = fmt
+            body = raw[pos:pos + size]
+            body = body[:len(body) - len(body) % (width * channels)]
+            if width == 3:  # left-justified into int32, as scipy.io.wavfile does
+                body = np.pad(np.frombuffer(body, np.uint8).reshape(-1, 3), ((0, 0), (1, 0)))
+            data = np.frombuffer(body, dtype=dtype)
+            return rate, data.reshape(-1, channels) if channels > 1 else data
+        pos += size + (size & 1)
+    raise ValueError("no data chunk" if fmt else "no fmt chunk")
+
+
 def read_wav(path: str | os.PathLike) -> AudioClip:
     """Load a RIFF/WAVE file (PCM or IEEE float); stereo is averaged to mono."""
     if not os.path.exists(path):
         raise AudioError(f"WAV file not found: {path}")
-    # Imported here: scipy.io takes about half of the package's import time,
-    # and only the audio commands read WAV files.
-    from scipy.io import wavfile
-
     try:
-        rate, data = wavfile.read(path)
-    except Exception as exc:
+        with open(path, "rb") as fh:
+            rate, data = _decode_wav(fh.read())
+    except (OSError, ValueError, struct.error) as exc:
         raise AudioError(f"malformed WAV file {path}: {exc}") from exc
     if data.size == 0:
         raise AudioError(f"WAV file contains no audio: {path}")
@@ -75,10 +118,8 @@ def read_wav(path: str | os.PathLike) -> AudioClip:
         samples = data.astype(float) / 32768.0
     elif data.dtype == np.int32:
         samples = data.astype(float) / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = np.clip(data.astype(float), -1.0, 1.0)
     else:
-        raise AudioError(f"unsupported WAV sample format {data.dtype} in {path}")
+        samples = np.clip(data.astype(float), -1.0, 1.0)
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
     return AudioClip(samples, int(rate))
@@ -127,9 +168,8 @@ class F0Track:
 
 
 def _frame_matrix(x: np.ndarray, frame: int, hop: int) -> np.ndarray:
-    n_frames = 1 + (len(x) - frame) // hop
-    idx = np.arange(n_frames)[:, None] * hop + np.arange(frame)[None, :]
-    return x[idx]
+    """Read-only view of the frames x[i*hop : i*hop + frame], one per row."""
+    return np.lib.stride_tricks.sliding_window_view(x, frame)[::hop]
 
 
 def _difference_function(frames: np.ndarray, tau_max: int) -> np.ndarray:
@@ -140,28 +180,34 @@ def _difference_function(frames: np.ndarray, tau_max: int) -> np.ndarray:
 
     sq = frames * frames
     energy_prefix = sq[:, :w].sum(axis=1)
-    csum = np.concatenate([np.zeros((n_frames, 1)), np.cumsum(sq, axis=1)], axis=1)
-    taus = np.arange(tau_max + 1)
-    energy_shift = csum[:, taus + w] - csum[:, taus]
+    csum = np.zeros((n_frames, frame + 1))
+    np.cumsum(sq, axis=1, out=csum[:, 1:])
 
     nfft = 1 << int(frame + w - 1).bit_length()
     spectrum = np.fft.rfft(frames, nfft)
     prefix_spectrum = np.fft.rfft(prefix, nfft)
+    # Kept as one expression: numpy evaluates it as conj(P) * S when it reuses
+    # the conj temporary (arrays of 256 KiB or more) and as S * conj(P) below
+    # that, and the two complex products differ in the last bit. Either fixed
+    # in-place order changes the F0 of some clips.
     corr = np.fft.irfft(spectrum * np.conj(prefix_spectrum), nfft)[:, : tau_max + 1]
 
-    d = energy_prefix[:, None] + energy_shift - 2.0 * corr
-    return np.maximum(d, 0.0)
+    d = csum[:, w:w + tau_max + 1] - csum[:, :tau_max + 1]
+    d += energy_prefix[:, None]
+    d -= 2.0 * corr
+    return np.maximum(d, 0.0, out=d)
 
 
 def _cmndf(d: np.ndarray) -> np.ndarray:
-    """Cumulative mean normalized difference: d'(0)=1, d'(tau)=d(tau)*tau/sum."""
-    out = np.ones_like(d)
+    """Cumulative mean normalized difference, in place: d'(0)=1, d'(tau)=d(tau)*tau/sum."""
     cums = np.cumsum(d[:, 1:], axis=1)
-    taus = np.arange(1, d.shape[1])
+    body = d[:, 1:]
+    body *= np.arange(1, d.shape[1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        normalized = d[:, 1:] * taus / cums
-    out[:, 1:] = np.where(cums > 0, normalized, 1.0)
-    return out
+        body /= cums
+    np.copyto(body, 1.0, where=~(cums > 0))
+    d[:, 0] = 1.0
+    return d
 
 
 def extract_f0(
@@ -203,15 +249,16 @@ def extract_f0(
         )
 
     frames = _frame_matrix(x, frame, hop)
-    d = _difference_function(frames, tau_max)
-    nd = _cmndf(d)
+    nd = _cmndf(_difference_function(frames, tau_max))
 
     # Per frame: the first tau >= tau_min below threshold, then downhill to tau_max at most.
     below = nd[:, tau_min:] < threshold
     first = tau_min + below.argmax(axis=1)
-    stop = np.ones(nd.shape, dtype=bool)
-    stop[:, :-1] = ~(nd[:, 1:] < nd[:, :-1])
-    tau = (stop & (np.arange(tau_max + 1) >= first[:, None])).argmax(axis=1)
+    stop = np.zeros(nd.shape, dtype=bool)
+    np.less(nd[:, 1:], nd[:, :-1], out=stop[:, :-1])
+    np.logical_not(stop, out=stop)
+    stop &= np.arange(tau_max + 1) >= first[:, None]
+    tau = stop.argmax(axis=1)
 
     # Parabolic refinement of interior dips whose delta lands in (-1, 1).
     n_frames = frames.shape[0]
@@ -230,18 +277,15 @@ def extract_f0(
 
 
 def _longest_voiced_run(track: F0Track) -> slice:
-    best_start, best_len = 0, 0
-    start, length = 0, 0
-    for i, voiced in enumerate(track.voiced_mask):
-        if voiced:
-            if length == 0:
-                start = i
-            length += 1
-            if length > best_len:
-                best_start, best_len = start, length
-        else:
-            length = 0
-    return slice(best_start, best_start + best_len)
+    """The earliest of the longest runs of voiced frames; slice(0, 0) if none."""
+    padded = np.zeros(len(track.f0) + 2, dtype=bool)
+    padded[1:-1] = track.voiced_mask
+    edges = np.flatnonzero(np.diff(padded)).tolist()  # run starts and stops, alternating
+    if not edges:
+        return slice(0, 0)
+    lengths = [stop - start for start, stop in zip(edges[::2], edges[1::2])]
+    k = lengths.index(max(lengths))
+    return slice(edges[2 * k], edges[2 * k + 1])
 
 
 def _sample_log_f0(track: F0Track, k: int) -> np.ndarray:

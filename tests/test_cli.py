@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -127,6 +129,14 @@ def test_transcribe_writes_f0_csv(tmp_path, capsys, rise_wav):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "time_s,f0_hz"
     assert len(lines) > 10
+
+
+def test_transcribe_imports_no_scipy(rise_wav):
+    code = ("import sys\nfrom tonelab.cli import main\nstatus = main(['transcribe', sys.argv[1]])\n"
+            "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, rise_wav], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 []"
 
 
 def test_transcribe_missing_file(capsys):

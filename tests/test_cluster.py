@@ -615,6 +615,30 @@ def test_mds_rejects_distances_whose_squares_overflow():
             classical_mds(_huge_matrix(), 2)
 
 
+def _near_limit_matrix(case):
+    """Distances whose squares are finite but whose MDS overflows."""
+    if case == "centred":  # b + b.T overflows
+        values = np.array([[0.0, 1.33, 1.33, 1.33], [1.33, 0.0, 0.87, 0.81],
+                           [1.33, 0.87, 0.0, 0.21], [1.33, 0.81, 0.21, 0.0]]) * 1e154
+    else:  # b is finite, but eigh returns non-finite eigenvalues
+        upper = np.triu(np.random.default_rng(0).uniform(0.9e154, 1.29e154, (60, 60)), 1)
+        values = upper + upper.T
+    return DistanceMatrix(tuple(map(str, range(len(values)))), values)
+
+
+@pytest.mark.parametrize("case", ["centred", "eigh"])
+@pytest.mark.parametrize("dims", [1, 2])
+def test_mds_rejects_near_limit_distances(case, dims):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            coords = classical_mds(_near_limit_matrix(case), dims)
+        except InputError as exc:
+            assert "centred squared distances overflow" in str(exc)
+        else:  # a LAPACK that does not overflow may return coordinates, but finite ones
+            assert case == "eigh" and np.isfinite(coords).all()
+
+
 def test_mds_dims_validation():
     dm = DistanceMatrix(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(InputError):

@@ -1,3 +1,7 @@
+import re
+import struct
+import warnings
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
@@ -14,7 +18,7 @@ from tonelab import (
     f0_baseline_triple,
     read_wav,
 )
-from tonelab.pitch import _cmndf, _difference_function, _frame_matrix
+from tonelab.pitch import _difference_function, _longest_voiced_run
 from .synth import SR, constant_track, tone_clip, tone_track
 
 
@@ -54,6 +58,101 @@ def test_read_wav_float32(tmp_path):
     assert np.allclose(clip.samples, data, atol=1e-7)
 
 
+def scipy_read_wav(path):
+    """Frozen reference reader: scipy.io.wavfile plus read_wav's scaling."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rate, data = wavfile.read(path)
+    if data.dtype == np.uint8:
+        samples = (data.astype(float) - 128.0) / 128.0
+    elif data.dtype == np.int16:
+        samples = data.astype(float) / 32768.0
+    elif data.dtype == np.int32:
+        samples = data.astype(float) / 2147483648.0
+    else:
+        samples = np.clip(data.astype(float), -1.0, 1.0)
+    if samples.ndim == 2:
+        samples = samples.mean(axis=1)
+    return AudioClip(samples, int(rate))
+
+
+def riff(*chunks):
+    """RIFF/WAVE bytes from (id, declared size, payload) chunks; odd payloads padded."""
+    body = b"WAVE" + b"".join(cid + struct.pack("<I", size) + data + b"\0" * (len(data) & 1)
+                              for cid, size, data in chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def fmt_chunk(tag, channels, bits, rate=16000, extensible=False):
+    block = channels * bits // 8
+    head = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, channels, rate,
+                       rate * block, block, bits)
+    if extensible:  # cbSize, valid bits, channel mask, subformat GUID
+        head += struct.pack("<HHII", 22, bits, 0, tag)
+        head += b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+    return (b"fmt ", len(head), head)
+
+
+def _int24(values):
+    return b"".join(int(v).to_bytes(3, "little", signed=True) for v in values)
+
+
+def _wav_case(case, tmp_path):
+    path = tmp_path / f"{case}.wav"
+    rng = np.random.default_rng(len(case))
+    pcm16 = rng.integers(-32768, 32768, 600).astype("<i2")
+    if case == "u8":
+        wavfile.write(path, 8000, rng.integers(0, 256, 900).astype(np.uint8))
+    elif case == "i16":
+        wavfile.write(path, 16000, pcm16)
+    elif case == "i32":
+        wavfile.write(path, 16000, rng.integers(-2**31, 2**31, 700).astype(np.int32))
+    elif case == "f32-over-range":
+        wavfile.write(path, 22050, rng.uniform(-1.5, 1.5, 700).astype(np.float32))
+    elif case == "f64":
+        wavfile.write(path, 44100, rng.uniform(-1, 1, 700))
+    elif case == "i16-3-channel":
+        wavfile.write(path, 16000, pcm16.reshape(-1, 3))
+    elif case == "i24":
+        values = [-2**23, -1, 0, 1, 2**23 - 1] + list(rng.integers(-2**23, 2**23, 400))
+        path.write_bytes(riff(fmt_chunk(1, 1, 24), (b"data", 3 * len(values), _int24(values))))
+    elif case == "i24-stereo-extensible":
+        data = _int24(rng.integers(-2**23, 2**23, 400))
+        path.write_bytes(riff(fmt_chunk(1, 2, 24, extensible=True), (b"data", len(data), data)))
+    elif case == "f32-extensible":
+        data = rng.uniform(-1, 1, 300).astype("<f4").tobytes()
+        path.write_bytes(riff(fmt_chunk(3, 1, 32, extensible=True), (b"data", len(data), data)))
+    elif case == "odd-list-before-data":
+        path.write_bytes(riff(fmt_chunk(1, 1, 16), (b"LIST", 5, b"INFOx"),
+                              (b"data", pcm16.nbytes, pcm16.tobytes())))
+    else:  # the data chunk claims more bytes than the file holds
+        path.write_bytes(riff(fmt_chunk(1, 1, 16), (b"data", 4 * pcm16.nbytes, pcm16.tobytes())))
+    return path
+
+
+@pytest.mark.parametrize("case", [
+    "u8", "i16", "i32", "f32-over-range", "f64", "i16-3-channel", "i24",
+    "i24-stereo-extensible", "f32-extensible", "odd-list-before-data", "truncated-data",
+])
+def test_read_wav_matches_scipy(case, tmp_path):
+    path = _wav_case(case, tmp_path)
+    got, want = read_wav(path), scipy_read_wav(path)
+    assert got.sample_rate == want.sample_rate
+    assert got.samples.tobytes() == want.samples.tobytes()
+
+
+@pytest.mark.parametrize("chunks", [
+    [(b"data", 2, b"\0\0"), fmt_chunk(1, 1, 16)],
+    [fmt_chunk(1, 1, 16), (b"LIST", 4, b"INFO")],
+    [fmt_chunk(6, 1, 8), (b"data", 2, b"\0\0")],  # A-law is not read
+], ids=["data-before-fmt", "no-data", "a-law"])
+def test_read_wav_rejects_bad_chunks(chunks, tmp_path):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(riff(*chunks))
+    with pytest.raises(AudioError, match=re.escape(f"malformed WAV file {path}: ")):
+        read_wav(path)
+
+
 def test_read_wav_truncated_header(tmp_path):
     path = tmp_path / "broken.wav"
     path.write_bytes(b"RIFF\x10\x00\x00\x00WAVE")
@@ -91,14 +190,51 @@ def test_difference_function_matches_direct_loop():
             assert fast[fi, tau] == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
 
+# Frozen copies of the index-gather F0 kernel that extract_f0 must match bit for bit.
+
+
+def frozen_frame_matrix(x, frame, hop):
+    n_frames = 1 + (len(x) - frame) // hop
+    idx = np.arange(n_frames)[:, None] * hop + np.arange(frame)[None, :]
+    return x[idx]
+
+
+def frozen_difference_function(frames, tau_max):
+    n_frames, frame = frames.shape
+    w = frame - tau_max
+    prefix = frames[:, :w]
+    sq = frames * frames
+    energy_prefix = sq[:, :w].sum(axis=1)
+    csum = np.concatenate([np.zeros((n_frames, 1)), np.cumsum(sq, axis=1)], axis=1)
+    taus = np.arange(tau_max + 1)
+    energy_shift = csum[:, taus + w] - csum[:, taus]
+    nfft = 1 << int(frame + w - 1).bit_length()
+    spectrum = np.fft.rfft(frames, nfft)
+    prefix_spectrum = np.fft.rfft(prefix, nfft)
+    corr = np.fft.irfft(spectrum * np.conj(prefix_spectrum), nfft)[:, : tau_max + 1]
+    d = energy_prefix[:, None] + energy_shift - 2.0 * corr
+    return np.maximum(d, 0.0)
+
+
+def frozen_cmndf(d):
+    out = np.ones_like(d)
+    cums = np.cumsum(d[:, 1:], axis=1)
+    taus = np.arange(1, d.shape[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normalized = d[:, 1:] * taus / cums
+    out[:, 1:] = np.where(cums > 0, normalized, 1.0)
+    return out
+
+
 def reference_f0(clip, frame_ms=40.0, hop_ms=10.0, fmin=50.0, fmax=600.0, threshold=0.15):
-    """Frozen copy of the per-frame dip search; also returns each dip's tau."""
+    """Frozen copy of the kernel and the per-frame dip search; also returns each dip's tau."""
     sr = clip.sample_rate
     frame = int(round(frame_ms * sr / 1000.0))
     hop = int(round(hop_ms * sr / 1000.0))
     tau_max = int(sr / fmin)
     tau_min = max(2, int(sr / fmax))
-    nd = _cmndf(_difference_function(_frame_matrix(clip.samples, frame, hop), tau_max))
+    nd = frozen_cmndf(frozen_difference_function(
+        frozen_frame_matrix(clip.samples, frame, hop), tau_max))
     f0 = np.zeros(len(nd))
     taus = []
     for fi, row in enumerate(nd):
@@ -123,9 +259,19 @@ def reference_f0(clip, frame_ms=40.0, hop_ms=10.0, fmin=50.0, fmax=600.0, thresh
     return f0, taus, (tau_min, tau_max)
 
 
+OPTION_SETS = [
+    dict(fmin=80.0, fmax=400.0, frame_ms=30.0, hop_ms=5.0),
+    dict(fmin=60.0, fmax=550.0, frame_ms=50.0, hop_ms=12.5, threshold=0.3),
+]
+
+
+# numpy multiplies the spectra in one operand order for arrays of 256 KiB or more
+# (16 kHz clips of >= 32 frames) and in the other below that (8 kHz and short
+# clips); the cases cover both sides.
 @pytest.mark.parametrize("case", [
     "sweeps", "glide-22050", "noise", "silence", "constant", "noisy-sine-8000",
     "dip-at-tau-min", "dip-at-tau-min-narrow", "dip-at-tau-max", "dip-at-tau-max-narrow",
+    "noise-8000", "noise-22050", "noise-44100", "short-16000", "options-0", "options-1",
 ])
 def test_extract_f0_bit_identical_to_per_frame_loop(case):
     rng = np.random.default_rng(len(case))
@@ -146,6 +292,19 @@ def test_extract_f0_bit_identical_to_per_frame_loop(case):
     elif case == "noisy-sine-8000":
         s = sine_clip(150.0, sr=8000).samples
         clips = [AudioClip(np.clip(s + 0.3 * rng.standard_normal(len(s)), -1, 1), 8000)]
+        clips += [tone_clip(t, rng=rng, sr=8000) for t in ("15", "51", "315")]
+    elif case.startswith("noise-"):
+        sr = int(case[6:])
+        clips = [AudioClip(a * rng.uniform(-1, 1, int(sr * rng.uniform(0.1, 0.7))), sr)
+                 for a in (0.02, 0.4, 1.0)]
+    elif case == "short-16000":
+        clips = [tone_clip(t, rng=rng, duration=0.15) for t in ("15", "51")]
+        clips.append(AudioClip(np.clip(clips[0].samples + 0.2 * rng.standard_normal(
+            len(clips[0].samples)), -1, 1), SR))
+    elif case.startswith("options-"):
+        kw = OPTION_SETS[int(case[-1])]
+        clips = [tone_clip(t, base_hz=rng.uniform(90, 300), rng=rng) for t in ("15", "513")]
+        clips += [sine_clip(f, sr=sr) for f, sr in ((97.0, 8000), (333.0, 22050), (151.0, 44100))]
     elif case == "dip-at-tau-min":
         clips, edge = [sine_clip(610.0)], 0
     elif case == "dip-at-tau-min-narrow":
@@ -288,6 +447,32 @@ def test_contour_feature_uses_longest_voiced_run():
     track = F0Track(np.arange(12) * 0.01 + 0.01, f0, 0.01)
     feature = contour_feature(track, k=8)
     assert np.all(np.diff(feature.values) > 0)  # picked the rising 8-frame run
+
+
+def frozen_longest_voiced_run(mask):
+    best_start, best_len = 0, 0
+    start, length = 0, 0
+    for i, voiced in enumerate(mask):
+        if voiced:
+            if length == 0:
+                start = i
+            length += 1
+            if length > best_len:
+                best_start, best_len = start, length
+        else:
+            length = 0
+    return slice(best_start, best_start + best_len)
+
+
+def test_longest_voiced_run_matches_frame_loop():
+    rng = np.random.default_rng(21)
+    masks = [np.zeros(0, bool), np.zeros(9, bool), np.ones(9, bool), np.ones(1, bool),
+             np.array([1, 1, 0, 1, 1, 0, 1, 1], bool), np.array([0, 1, 1, 0, 1, 1, 1], bool)]
+    masks += [rng.random(int(rng.integers(1, 60))) < p
+              for p in (0.2, 0.5, 0.8, 0.95) for _ in range(50)]
+    for mask in masks:
+        track = F0Track(np.arange(len(mask)) * 0.01 + 0.01, np.where(mask, 200.0, 0.0), 0.01)
+        assert _longest_voiced_run(track) == frozen_longest_voiced_run(mask)
 
 
 def test_contour_feature_is_z_normalized():
