@@ -18,7 +18,7 @@ from . import dialect as dialectmod
 from . import learn
 from . import pitch as pitchmod
 from . import tones
-from .errors import InputError, ToneLabError
+from .errors import InputError, ToneLabError, naming
 
 
 def _json_text(obj) -> str:
@@ -154,8 +154,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     data = []
     for wav_path, label in manifest:
         clip = pitchmod.read_wav(wav_path)
-        track = pitchmod.extract_f0(clip, **f0_options)
-        data.append((pitchmod.contour_feature(track, k=args.feature_points), label))
+        with naming(wav_path):
+            track = pitchmod.extract_f0(clip, **f0_options)
+            data.append((pitchmod.contour_feature(track, k=args.feature_points), label))
     model = learn.train_tone_model(
         data, lr=args.lr, epochs=args.epochs, seed=args.seed, l2=args.l2
     )
@@ -197,10 +198,9 @@ def _collect_wavs(args: argparse.Namespace) -> list[str]:
 def _cmd_cluster_tones(args: argparse.Namespace) -> int:
     paths = _collect_wavs(args)
     model = learn.LinearToneModel.load(args.model)
-    clips = [pitchmod.read_wav(p) for p in paths]
     result = dialectmod.tone_clustering_pipeline(
-        clips, model, eps=args.eps, min_samples=args.min_samples,
-        beta=args.beta, **_f0_options(args),
+        (pitchmod.read_wav(p) for p in paths), model, eps=args.eps,
+        min_samples=args.min_samples, beta=args.beta, sources=paths, **_f0_options(args),
     )
     names = [os.path.basename(p) for p in paths]
     payload = {

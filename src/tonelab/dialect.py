@@ -5,7 +5,7 @@ import csv
 import os
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -14,7 +14,7 @@ from . import learn
 from . import pitch as pitchmod
 from . import tones
 from .cluster import ClusterAssignment, LINKAGES, NOISE
-from .errors import CorpusError, InputError
+from .errors import CorpusError, InputError, naming
 from .tones import DistanceMatrix, Transcription, parse_transcription
 
 METRICS = ("tone2vec", "categorical")
@@ -261,12 +261,13 @@ def _modal_transcription(candidates: Sequence[Transcription]) -> Transcription:
 
 
 def tone_clustering_pipeline(
-    clips: Sequence[pitchmod.AudioClip],
+    clips: Iterable[pitchmod.AudioClip],
     model: learn.LinearToneModel,
     eps: float = 0.6,
     min_samples: int = 4,
     *,
     beta: float = learn.DEFAULT_BETA,
+    sources: Sequence[str] | None = None,
     **f0_options,
 ) -> ToneClusteringResult:
     """Discover a dialect's tone categories from raw clips.
@@ -276,17 +277,21 @@ def tone_clustering_pipeline(
     of its members (ties resolve to the smallest transcription). An all-noise
     result reports zero categories, not an error; in particular, fewer than
     min_samples clips are all noise.
+
+    Clips are embedded one at a time as the iterable yields them, so a
+    generator that reads each clip on demand keeps one in memory. An error
+    on clip i is prefixed with sources[i] when sources are given.
     """
-    if len(clips) == 0:
-        raise InputError("tone clustering needs at least one clip")
     triples = []
     decoded = []
-    for clip in clips:
-        track = pitchmod.extract_f0(clip, **f0_options)
-        feature = pitchmod.contour_feature(track, k=model.n_features)
-        z = learn.embed(model, feature)
+    for i, clip in enumerate(clips):
+        with naming(None if sources is None else sources[i]):
+            track = pitchmod.extract_f0(clip, **f0_options)
+            z = learn.embed(model, pitchmod.contour_feature(track, k=model.n_features))
         triples.append(z)
         decoded.append(learn.decode_transcription(z, beta))
+    if not triples:
+        raise InputError("tone clustering needs at least one clip")
 
     assignment = clustering.dbscan(np.array(triples), eps, min_samples)
     categories = []

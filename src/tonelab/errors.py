@@ -4,6 +4,7 @@
 malformed files); everything else under ``ToneLabError`` is a processing
 failure. The CLI maps the former to exit code 2 and the latter to exit code 1.
 """
+from contextlib import contextmanager
 
 
 class ToneLabError(Exception):
@@ -28,3 +29,15 @@ class AudioError(InputError):
 
 class VoicingError(ToneLabError):
     """Too few voiced frames to extract a pitch contour."""
+
+
+@contextmanager
+def naming(source: str | None):
+    """Re-raise a ToneLabError from the block as the same type with ``source: ``
+    before its message; a None source leaves errors as they are."""
+    try:
+        yield
+    except ToneLabError as exc:
+        if source is None:
+            raise
+        raise type(exc)(f"{source}: {exc}") from exc

@@ -14,6 +14,7 @@ import io
 import math
 import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,42 +173,122 @@ def _frame_matrix(x: np.ndarray, frame: int, hop: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(x, frame)[::hop]
 
 
+# The F0 kernel walks a clip in blocks of at most this many frames, so its
+# working set is fixed: 2.4 MiB of buffers at 16 kHz, 8.6 MiB at 44.1 kHz.
+_BLOCK_FRAMES = 64
+# NPY_MIN_ELIDE_BYTES: from this size on, numpy reuses a temporary operand as
+# the output of a binary operator.
+_ELIDE_BYTES = 256 * 1024
+
+
+class _Workspace:
+    """Buffers for the F0 kernel on blocks of up to _BLOCK_FRAMES frames of one
+    (frame, nfft, tau_max), reused from block to block and clip to clip."""
+
+    def __init__(self, frame: int, tau_max: int) -> None:
+        self.frame, self.tau_max = frame, tau_max
+        self.w = frame - tau_max
+        self.nfft = 1 << int(frame + self.w - 1).bit_length()
+        rows, bins = _BLOCK_FRAMES, self.nfft // 2 + 1
+        self.bins = bins  # spectrum length
+        self.sq = np.empty((rows, frame))
+        self.energy = np.empty(rows)
+        self.csum = np.zeros((rows, frame + 1))  # column 0 stays zero
+        self.spectrum = np.empty((rows, bins), dtype=complex)
+        self.product = np.empty((rows, bins), dtype=complex)
+        self.corr = np.empty((rows, self.nfft))
+        self.d = np.empty((rows, tau_max + 1))
+        self.cums = np.empty((rows, tau_max))
+
+    def conj_first(self, clip_frames: int) -> bool:
+        """Operand order of the spectrum product for a clip of clip_frames frames.
+
+        F0 must match the whole-clip expression `spectrum * np.conj(prefix_spectrum)`
+        bit for bit. numpy computes that as conj(P) * S when it reuses the conj
+        temporary in place (NPY_MIN_ELIDE_BYTES, 256 KiB or more) and as
+        S * conj(P) below that, and the two complex products differ in the last
+        bit, so every block uses the order of the whole clip.
+        """
+        return clip_frames * self.bins * 16 >= _ELIDE_BYTES
+
+    def difference(self, frames: np.ndarray, conj_first: bool) -> np.ndarray:
+        """d[f, tau] = sum_{j<W} (x[j] - x[j+tau])^2 with W = frame - tau_max,
+        for at most _BLOCK_FRAMES frames; a view into this workspace."""
+        n, w, nfft, tau_max = len(frames), self.w, self.nfft, self.tau_max
+        sq = np.multiply(frames, frames, out=self.sq[:n])
+        energy_prefix = np.sum(sq[:, :w], axis=1, out=self.energy[:n])
+        csum = self.csum[:n]
+        np.cumsum(sq, axis=1, out=csum[:, 1:])
+
+        spectrum = np.fft.rfft(frames, nfft, out=self.spectrum[:n])
+        product = np.fft.rfft(frames[:, :w], nfft, out=self.product[:n])
+        np.conjugate(product, out=product)
+        if conj_first:
+            np.multiply(product, spectrum, out=product)
+        else:
+            np.multiply(spectrum, product, out=product)
+        corr = np.fft.irfft(product, nfft, out=self.corr[:n])[:, :tau_max + 1]
+
+        d = np.subtract(csum[:, w:w + tau_max + 1], csum[:, :tau_max + 1], out=self.d[:n])
+        d += energy_prefix[:, None]
+        corr *= 2.0
+        d -= corr
+        return np.maximum(d, 0.0, out=d)
+
+    def cmndf(self, d: np.ndarray) -> np.ndarray:
+        """Cumulative mean normalized difference, in place: d'(0)=1, d'(tau)=d(tau)*tau/sum."""
+        body = d[:, 1:]
+        cums = np.cumsum(body, axis=1, out=self.cums[:len(d)])
+        body *= np.arange(1, d.shape[1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            body /= cums
+        np.copyto(body, 1.0, where=~(cums > 0))
+        d[:, 0] = 1.0
+        return d
+
+
+_local = threading.local()
+
+
+def _workspace(frame: int, tau_max: int) -> _Workspace:
+    """This thread's workspace for (frame, tau_max); they also fix nfft."""
+    ws = getattr(_local, "workspace", None)
+    if ws is None or (ws.frame, ws.tau_max) != (frame, tau_max):
+        ws = _local.workspace = _Workspace(frame, tau_max)
+    return ws
+
+
 def _difference_function(frames: np.ndarray, tau_max: int) -> np.ndarray:
-    """d[f, tau] = sum_{j<W} (x[j] - x[j+tau])^2 with W = frame - tau_max."""
-    n_frames, frame = frames.shape
-    w = frame - tau_max
-    prefix = frames[:, :w]
-
-    sq = frames * frames
-    energy_prefix = sq[:, :w].sum(axis=1)
-    csum = np.zeros((n_frames, frame + 1))
-    np.cumsum(sq, axis=1, out=csum[:, 1:])
-
-    nfft = 1 << int(frame + w - 1).bit_length()
-    spectrum = np.fft.rfft(frames, nfft)
-    prefix_spectrum = np.fft.rfft(prefix, nfft)
-    # Kept as one expression: numpy evaluates it as conj(P) * S when it reuses
-    # the conj temporary (arrays of 256 KiB or more) and as S * conj(P) below
-    # that, and the two complex products differ in the last bit. Either fixed
-    # in-place order changes the F0 of some clips.
-    corr = np.fft.irfft(spectrum * np.conj(prefix_spectrum), nfft)[:, : tau_max + 1]
-
-    d = csum[:, w:w + tau_max + 1] - csum[:, :tau_max + 1]
-    d += energy_prefix[:, None]
-    d -= 2.0 * corr
-    return np.maximum(d, 0.0, out=d)
+    """The difference function of at most _BLOCK_FRAMES frames, in the operand
+    order of these frames alone; a view into this thread's workspace, valid
+    until its next use."""
+    ws = _workspace(frames.shape[1], tau_max)
+    return ws.difference(frames, ws.conj_first(len(frames)))
 
 
-def _cmndf(d: np.ndarray) -> np.ndarray:
-    """Cumulative mean normalized difference, in place: d'(0)=1, d'(tau)=d(tau)*tau/sum."""
-    cums = np.cumsum(d[:, 1:], axis=1)
-    body = d[:, 1:]
-    body *= np.arange(1, d.shape[1])
+def _dip_f0(nd: np.ndarray, sr: int, tau_min: int, fmin: float, fmax: float,
+            threshold: float) -> np.ndarray:
+    """F0 per row of a normalized difference block; 0 where no dip qualifies."""
+    tau_max = nd.shape[1] - 1
+    # Per frame: the first tau >= tau_min below threshold, then downhill to tau_max at most.
+    below = nd[:, tau_min:] < threshold
+    first = tau_min + below.argmax(axis=1)
+    stop = np.zeros(nd.shape, dtype=bool)
+    np.less(nd[:, 1:], nd[:, :-1], out=stop[:, :-1])
+    np.logical_not(stop, out=stop)
+    stop &= np.arange(tau_max + 1) >= first[:, None]
+    tau = stop.argmax(axis=1)
+
+    # Parabolic refinement of interior dips whose delta lands in (-1, 1).
+    rows = np.arange(len(nd))
+    mid = np.clip(tau, 1, tau_max - 1)
+    y0, y1, y2 = nd[rows, mid - 1], nd[rows, mid], nd[rows, mid + 1]
+    denom = y0 - 2.0 * y1 + y2
     with np.errstate(divide="ignore", invalid="ignore"):
-        body /= cums
-    np.copyto(body, 1.0, where=~(cums > 0))
-    d[:, 0] = 1.0
-    return d
+        delta = 0.5 * (y0 - y2) / denom
+    refine = (tau_min < tau) & (tau < tau_max) & (denom > 0) & (-1.0 < delta) & (delta < 1.0)
+    est = sr / (tau + np.where(refine, delta, 0.0))
+    return np.where(below.any(axis=1) & (fmin <= est) & (est <= fmax), est, 0.0)
 
 
 def extract_f0(
@@ -222,7 +303,10 @@ def extract_f0(
     """Estimate the per-frame fundamental frequency of a clip.
 
     Deterministic for a fixed configuration and invariant to positive
-    amplitude scaling (the normalized difference is a ratio).
+    amplitude scaling (the normalized difference is a ratio). Frames are
+    processed in blocks of 64 through buffers that each thread allocates
+    once per (frame, tau_max) and keeps: 2.4 MiB at 16 kHz and 8.6 MiB at
+    44.1 kHz with the default options. Memory does not grow with clip length.
     """
     if not F0_FLOOR_HZ <= fmin < fmax <= F0_CEIL_HZ:
         raise InputError(
@@ -249,28 +333,13 @@ def extract_f0(
         )
 
     frames = _frame_matrix(x, frame, hop)
-    nd = _cmndf(_difference_function(frames, tau_max))
-
-    # Per frame: the first tau >= tau_min below threshold, then downhill to tau_max at most.
-    below = nd[:, tau_min:] < threshold
-    first = tau_min + below.argmax(axis=1)
-    stop = np.zeros(nd.shape, dtype=bool)
-    np.less(nd[:, 1:], nd[:, :-1], out=stop[:, :-1])
-    np.logical_not(stop, out=stop)
-    stop &= np.arange(tau_max + 1) >= first[:, None]
-    tau = stop.argmax(axis=1)
-
-    # Parabolic refinement of interior dips whose delta lands in (-1, 1).
-    n_frames = frames.shape[0]
-    rows = np.arange(n_frames)
-    mid = np.clip(tau, 1, tau_max - 1)
-    y0, y1, y2 = nd[rows, mid - 1], nd[rows, mid], nd[rows, mid + 1]
-    denom = y0 - 2.0 * y1 + y2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        delta = 0.5 * (y0 - y2) / denom
-    refine = (tau_min < tau) & (tau < tau_max) & (denom > 0) & (-1.0 < delta) & (delta < 1.0)
-    est = sr / (tau + np.where(refine, delta, 0.0))
-    f0 = np.where(below.any(axis=1) & (fmin <= est) & (est <= fmax), est, 0.0)
+    n_frames = len(frames)
+    ws = _workspace(frame, tau_max)
+    conj_first = ws.conj_first(n_frames)
+    f0 = np.empty(n_frames)
+    for lo in range(0, n_frames, _BLOCK_FRAMES):
+        nd = ws.cmndf(ws.difference(frames[lo:lo + _BLOCK_FRAMES], conj_first))
+        f0[lo:lo + len(nd)] = _dip_f0(nd, sr, tau_min, fmin, fmax, threshold)
 
     times = (np.arange(n_frames) * hop + frame / 2.0) / sr
     return F0Track(times, f0, hop / sr)

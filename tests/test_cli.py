@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from tonelab import LinearToneModel
+from tonelab import AudioClip, LinearToneModel
 from tonelab.cli import main
 from .synth import SR, tone_clip
 
@@ -213,6 +213,21 @@ def test_train_requires_seed(tmp_path):
     assert exc.value.code == 2
 
 
+def silent_wav(path):
+    return write_wav(path, AudioClip(np.zeros(SR // 2), SR))
+
+
+def test_train_failure_names_the_clip(tmp_path, capsys):
+    manifest = make_manifest(tmp_path, per_class=1)
+    silent = silent_wav(tmp_path / "silent.wav")
+    with open(manifest, "a", encoding="utf-8") as fh:
+        fh.write("silent.wav\t15\n")
+    assert main(["train", "--data", manifest, "--out", str(tmp_path / "m.json"),
+                 "--seed", "1", "--epochs", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"tonelab: failure: {silent}: need at least 5 contiguous voiced frames, got 0\n"
+
+
 def test_train_missing_manifest(tmp_path, capsys):
     assert main(["train", "--data", str(tmp_path / "no.tsv"),
                  "--out", str(tmp_path / "m.json"), "--seed", "1"]) == 2
@@ -265,6 +280,34 @@ def test_cluster_tones_requires_input(tmp_path):
     model_path = tmp_path / "model.json"
     LinearToneModel(np.zeros((3, 20)), np.zeros(3)).save(model_path)
     assert main(["cluster-tones", "--model", str(model_path)]) == 2
+
+
+def test_cluster_tones_failure_names_the_clip(tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    LinearToneModel(np.zeros((3, 20)), np.zeros(3)).save(model_path)
+    wavs = [write_wav(tmp_path / f"c{i}.wav", tone_clip("51")) for i in range(3)]
+    silent = silent_wav(tmp_path / "silent.wav")
+    assert main(["cluster-tones", *wavs, silent, "--model", str(model_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"tonelab: failure: {silent}: need at least 5 contiguous voiced frames, got 0\n")
+
+
+def test_cluster_tones_reports_first_failing_clip_in_list_order(tmp_path, capsys):
+    # Clips are read one at a time, so a voicing failure on an earlier clip is
+    # reported before a malformed WAV later in the list.
+    model_path = tmp_path / "model.json"
+    LinearToneModel(np.zeros((3, 20)), np.zeros(3)).save(model_path)
+    good = write_wav(tmp_path / "good.wav", tone_clip("51"))
+    silent = silent_wav(tmp_path / "silent.wav")
+    broken = tmp_path / "broken.wav"
+    broken.write_bytes(b"RIFF\x04\x00\x00\x00WAVE")
+    args = ["--model", str(model_path)]
+    assert main(["cluster-tones", good, silent, str(broken), *args]) == 1
+    assert f"{silent}: need at least" in capsys.readouterr().err
+    assert main(["cluster-tones", good, str(broken), silent, *args]) == 2
+    assert f"malformed WAV file {broken}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tonelab import (
+    AudioClip,
     CorpusError,
     DialectCorpus,
     DistanceMatrix,
@@ -25,6 +26,7 @@ from tonelab import (
     train_tone_model,
     tone_distance,
     two_cluster_accuracy,
+    VoicingError,
 )
 from .synth import labelled_clip_set, tone_clip
 
@@ -440,3 +442,28 @@ def test_tone_clustering_rejects_empty():
     model = LinearToneModel(np.zeros((3, 20)), np.zeros(3))
     with pytest.raises(InputError):
         tone_clustering_pipeline([], model)
+
+
+def test_tone_clustering_takes_clips_one_at_a_time():
+    model = trained_model()
+    clips = [tone_clip(t) for t in CLASSES for _ in range(4)]
+    assert tone_clustering_pipeline(iter(clips), model) == tone_clustering_pipeline(clips, model)
+
+    def reads():
+        yield clips[0]
+        yield AudioClip(np.zeros(8000), 16000)
+        pytest.fail("read a clip after the one that failed")
+
+    with pytest.raises(VoicingError):
+        tone_clustering_pipeline(reads(), model)
+    with pytest.raises(InputError, match="at least one clip"):
+        tone_clustering_pipeline(iter([]), model)
+
+
+def test_tone_clustering_names_the_failing_clip():
+    model = LinearToneModel(np.zeros((3, 20)), np.zeros(3))
+    clips = [tone_clip("51"), AudioClip(np.zeros(8000), 16000)]
+    with pytest.raises(VoicingError, match=r"^b\.wav: need at least 5"):
+        tone_clustering_pipeline(clips, model, sources=["a.wav", "b.wav"])
+    with pytest.raises(VoicingError, match=r"^need at least 5"):
+        tone_clustering_pipeline(clips, model)

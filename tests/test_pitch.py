@@ -1,6 +1,9 @@
 import re
 import struct
+import sys
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -265,13 +268,25 @@ OPTION_SETS = [
 ]
 
 
-# numpy multiplies the spectra in one operand order for arrays of 256 KiB or more
-# (16 kHz clips of >= 32 frames) and in the other below that (8 kHz and short
-# clips); the cases cover both sides.
+def frames_clip(n_frames, sr, rng, frame_ms=40.0, hop_ms=10.0):
+    """A noisy glide with exactly n_frames analysis frames."""
+    frame, hop = int(round(frame_ms * sr / 1000.0)), int(round(hop_ms * sr / 1000.0))
+    t = np.arange(frame + (n_frames - 1) * hop) / sr
+    f = rng.uniform(90, 250) + 60.0 * np.sin(2 * np.pi * t / t[-1])
+    x = 0.5 * np.sin(2 * np.pi * np.cumsum(f) / sr) + 0.05 * rng.standard_normal(len(t))
+    return AudioClip(np.clip(x, -1, 1), sr)
+
+
+# numpy multiplied the whole clip's spectra in one operand order for arrays of
+# 256 KiB or more (16 kHz clips of >= 32 frames, 8 kHz of >= 64) and in the other
+# below that (8 kHz and short clips); the cases cover both sides. The long-*
+# cases span 1-3 blocks of 64 frames; long-8000-short-frames (2,064 bytes a
+# frame) has multi-block clips on both sides of the rule (127 and 128 frames).
 @pytest.mark.parametrize("case", [
     "sweeps", "glide-22050", "noise", "silence", "constant", "noisy-sine-8000",
     "dip-at-tau-min", "dip-at-tau-min-narrow", "dip-at-tau-max", "dip-at-tau-max-narrow",
     "noise-8000", "noise-22050", "noise-44100", "short-16000", "options-0", "options-1",
+    "long-8000", "long-16000", "long-8000-short-frames",
 ])
 def test_extract_f0_bit_identical_to_per_frame_loop(case):
     rng = np.random.default_rng(len(case))
@@ -305,6 +320,13 @@ def test_extract_f0_bit_identical_to_per_frame_loop(case):
         kw = OPTION_SETS[int(case[-1])]
         clips = [tone_clip(t, base_hz=rng.uniform(90, 300), rng=rng) for t in ("15", "513")]
         clips += [sine_clip(f, sr=sr) for f, sr in ((97.0, 8000), (333.0, 22050), (151.0, 44100))]
+    elif case == "long-8000":
+        clips = [frames_clip(n, 8000, rng) for n in (63, 64, 65, 128, 150)]
+    elif case == "long-16000":
+        clips = [frames_clip(n, SR, rng) for n in (31, 64, 65, 128, 150)]
+    elif case == "long-8000-short-frames":
+        kw = dict(frame_ms=20.0, fmin=60.0)
+        clips = [frames_clip(n, 8000, rng, frame_ms=20.0) for n in (100, 127, 128, 150)]
     elif case == "dip-at-tau-min":
         clips, edge = [sine_clip(610.0)], 0
     elif case == "dip-at-tau-min-narrow":
@@ -319,6 +341,46 @@ def test_extract_f0_bit_identical_to_per_frame_loop(case):
         assert got.tobytes() == ref.tobytes()
         if edge is not None:
             assert bounds[edge] in taus
+
+
+def mixed_rate_clips(rng):
+    return [frames_clip(n, sr, rng) for sr in (8000, SR, 22050, 44100) for n in (20, 64, 130)]
+
+
+def test_extract_f0_threads_match_serial():
+    clips = mixed_rate_clips(np.random.default_rng(21))
+    serial = [extract_f0(c).f0.tobytes() for c in clips]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda c: extract_f0(c).f0.tobytes(), clips * 3,
+                                     timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial * 3
+
+
+def test_extract_f0_result_survives_next_call():
+    clips = mixed_rate_clips(np.random.default_rng(22))
+    first = extract_f0(clips[1])
+    f0, times = first.f0.copy(), first.times.copy()
+    for clip in clips:
+        extract_f0(clip)
+    assert first.f0.tobytes() == f0.tobytes()
+    assert first.times.tobytes() == times.tobytes()
+
+
+def test_extract_f0_memory_does_not_grow_with_clip_length():
+    clip = frames_clip(6001, SR, np.random.default_rng(23))  # 60 s
+    extract_f0(clip)  # allocates this thread's workspace
+    tracemalloc.start()
+    try:
+        extract_f0(clip)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 def test_sine_440_tracked_within_one_hz():
