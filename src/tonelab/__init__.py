@@ -10,128 +10,41 @@ and variance analysis.
 
 __version__ = "0.1.0"
 
-from .cluster import (
-    ClusterAssignment,
-    Dendrogram,
-    LINKAGES,
-    NOISE,
-    classical_mds,
-    cut_tree,
-    dbscan,
-    hierarchical_cluster,
-    two_cluster_accuracy,
-)
-from .dialect import (
-    DialectCorpus,
-    Embedding1D,
-    RegionLexicon,
-    ToneClusteringResult,
-    dialect_cluster_pipeline,
-    dialect_variance_map,
-    load_corpus,
-    region_distance,
-    region_distance_matrix,
-    tone_clustering_pipeline,
-)
-from .errors import (
-    AudioError,
-    CorpusError,
-    InputError,
-    ToneLabError,
-    TranscriptionError,
-    VoicingError,
-)
-from .learn import (
-    LinearToneModel,
-    decode_transcription,
-    embed,
-    f0_baseline_transcribe,
-    linearity_margin,
-    pitch_distance,
-    pitch_distance_subgradient,
-    pitch_loss,
-    train_tone_model,
-)
-from .pitch import (
-    AudioClip,
-    ContourFeature,
-    F0Track,
-    contour_feature,
-    extract_f0,
-    f0_baseline_triple,
-    read_wav,
-)
-from .tones import (
-    DistanceMatrix,
-    NormalizedContour,
-    PitchCurve,
-    Transcription,
-    build_distance_matrix,
-    canonical_transcriptions,
-    categorical_distance,
-    curve_of,
-    normalize_contour,
-    parse_transcription,
-    relative_pitch,
-    tone_distance,
-    tone_distance_database,
-    variance_metric,
-)
+import importlib
 
-__all__ = [
-    "AudioClip",
-    "AudioError",
-    "ClusterAssignment",
-    "ContourFeature",
-    "CorpusError",
-    "Dendrogram",
-    "DialectCorpus",
-    "DistanceMatrix",
-    "Embedding1D",
-    "F0Track",
-    "InputError",
-    "LINKAGES",
-    "LinearToneModel",
-    "NOISE",
-    "NormalizedContour",
-    "PitchCurve",
-    "RegionLexicon",
-    "ToneClusteringResult",
-    "ToneLabError",
-    "Transcription",
-    "TranscriptionError",
-    "VoicingError",
-    "build_distance_matrix",
-    "canonical_transcriptions",
-    "categorical_distance",
-    "classical_mds",
-    "contour_feature",
-    "curve_of",
-    "cut_tree",
-    "dbscan",
-    "decode_transcription",
-    "dialect_cluster_pipeline",
-    "dialect_variance_map",
-    "embed",
-    "extract_f0",
-    "f0_baseline_transcribe",
-    "f0_baseline_triple",
-    "hierarchical_cluster",
-    "linearity_margin",
-    "load_corpus",
-    "normalize_contour",
-    "parse_transcription",
-    "pitch_distance",
-    "pitch_distance_subgradient",
-    "pitch_loss",
-    "read_wav",
-    "region_distance",
-    "region_distance_matrix",
-    "relative_pitch",
-    "tone_clustering_pipeline",
-    "tone_distance",
-    "tone_distance_database",
-    "train_tone_model",
-    "two_cluster_accuracy",
-    "variance_metric",
-]
+# Each public name and the submodule it lives in. Submodules load on first
+# use (PEP 562), so ``import tonelab`` and ``tonelab --help`` load no numpy.
+_EXPORTS = {
+    "cluster": ("ClusterAssignment", "Dendrogram", "LINKAGES", "NOISE", "classical_mds",
+                "cut_tree", "dbscan", "hierarchical_cluster", "two_cluster_accuracy"),
+    "dialect": ("DialectCorpus", "Embedding1D", "RegionLexicon", "dialect_cluster_pipeline",
+                "dialect_variance_map", "load_corpus", "region_distance",
+                "region_distance_matrix"),
+    "errors": ("AudioError", "CorpusError", "InputError", "ToneLabError",
+               "TranscriptionError", "VoicingError"),
+    "learn": ("LinearToneModel", "ToneClusteringResult", "decode_transcription", "embed",
+              "f0_baseline_transcribe", "linearity_margin", "pitch_distance",
+              "pitch_distance_subgradient", "pitch_loss", "tone_clustering_pipeline",
+              "train_tone_model"),
+    "pitch": ("AudioClip", "ContourFeature", "F0Track", "contour_feature", "extract_f0",
+              "f0_baseline_triple", "read_wav"),
+    "tones": ("DistanceMatrix", "NormalizedContour", "PitchCurve", "Transcription",
+              "build_distance_matrix", "canonical_transcriptions", "categorical_distance",
+              "curve_of", "normalize_contour", "parse_transcription", "relative_pitch",
+              "tone_distance", "tone_distance_database", "variance_metric"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

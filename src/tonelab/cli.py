@@ -9,33 +9,51 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
 from . import __version__
-from . import cluster as clustering
-from . import dialect as dialectmod
-from . import learn
-from . import pitch as pitchmod
-from . import tones
+from . import _defaults as defaults
 from .errors import InputError, ToneLabError, naming
+
+# Subcommands import the modules they run inside their _cmd_* function, so a
+# launch loads only those, and --help and --version load no numpy.
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _checked(convert, accept, expected: str):
+    """An argparse type: convert the text, then exit 2 unless accept(value)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+_positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_nonnegative = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
+
+
 def _add_f0_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("F0 extraction")
-    group.add_argument("--fmin", type=float, default=pitchmod.F0_FLOOR_HZ,
+    group.add_argument("--fmin", type=float, default=defaults.F0_FLOOR_HZ,
                        help="lowest admissible F0 in Hz (default %(default)s)")
-    group.add_argument("--fmax", type=float, default=pitchmod.F0_CEIL_HZ,
+    group.add_argument("--fmax", type=float, default=defaults.F0_CEIL_HZ,
                        help="highest admissible F0 in Hz (default %(default)s)")
-    group.add_argument("--frame-ms", type=float, default=pitchmod.DEFAULT_FRAME_MS,
+    group.add_argument("--frame-ms", type=float, default=defaults.DEFAULT_FRAME_MS,
                        help="analysis frame length in ms (default %(default)s)")
-    group.add_argument("--hop-ms", type=float, default=pitchmod.DEFAULT_HOP_MS,
+    group.add_argument("--hop-ms", type=float, default=defaults.DEFAULT_HOP_MS,
                        help="hop between frames in ms (default %(default)s)")
-    group.add_argument("--yin-threshold", type=float, default=pitchmod.DEFAULT_YIN_THRESHOLD,
+    group.add_argument("--yin-threshold", type=float, default=defaults.DEFAULT_YIN_THRESHOLD,
                        help="voicing dip threshold (default %(default)s)")
 
 
@@ -49,7 +67,9 @@ def _f0_options(args: argparse.Namespace) -> dict:
     }
 
 
-def _read_token_file(path: str) -> list[tones.Transcription]:
+def _read_token_file(path: str) -> list:
+    from . import tones
+
     if not os.path.exists(path):
         raise InputError(f"token file not found: {path}")
     out = []
@@ -68,6 +88,8 @@ def _read_token_file(path: str) -> list[tones.Transcription]:
 
 
 def _cmd_dist(args: argparse.Namespace) -> int:
+    from . import tones
+
     if args.matrix:
         tones._write_text(tones.tone_distance_database().to_csv(), args.out)
         return 0
@@ -84,6 +106,8 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 
 
 def _cmd_variance(args: argparse.Namespace) -> int:
+    from . import tones
+
     l1 = tones.parse_transcription(args.token1)
     l2 = tones.parse_transcription(args.token2)
     sys.stdout.write(f"{tones.variance_metric(l1, l2):.4f}\n")
@@ -91,6 +115,9 @@ def _cmd_variance(args: argparse.Namespace) -> int:
 
 
 def _cmd_transcribe(args: argparse.Namespace) -> int:
+    from . import learn
+    from . import pitch as pitchmod
+
     clip = pitchmod.read_wav(args.wav)
     track = pitchmod.extract_f0(clip, **_f0_options(args))
     if args.f0_csv:
@@ -118,7 +145,9 @@ def _cmd_transcribe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_training_manifest(path: str) -> list[tuple[str, tones.Transcription]]:
+def _read_training_manifest(path: str) -> list[tuple]:
+    from . import tones
+
     if not os.path.exists(path):
         raise InputError(f"manifest not found: {path}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -149,6 +178,9 @@ def _read_training_manifest(path: str) -> list[tuple[str, tones.Transcription]]:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    from . import learn
+    from . import pitch as pitchmod
+
     manifest = _read_training_manifest(args.data)
     f0_options = _f0_options(args)
     data = []
@@ -196,9 +228,12 @@ def _collect_wavs(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_cluster_tones(args: argparse.Namespace) -> int:
+    from . import learn
+    from . import pitch as pitchmod
+
     paths = _collect_wavs(args)
     model = learn.LinearToneModel.load(args.model)
-    result = dialectmod.tone_clustering_pipeline(
+    result = learn.tone_clustering_pipeline(
         (pitchmod.read_wav(p) for p in paths), model, eps=args.eps,
         min_samples=args.min_samples, beta=args.beta, sources=paths, **_f0_options(args),
     )
@@ -221,6 +256,9 @@ def _cmd_cluster_tones(args: argparse.Namespace) -> int:
 
 
 def _cmd_dialect_cluster(args: argparse.Namespace) -> int:
+    from . import dialect as dialectmod
+    from . import tones
+
     corpus = dialectmod.load_corpus(args.corpus, args.gold)
     report = dialectmod.dialect_cluster_pipeline(corpus, metric=args.metric,
                                                  linkage=args.linkage)
@@ -236,6 +274,10 @@ def _cmd_dialect_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_dialect_mds(args: argparse.Namespace) -> int:
+    from . import cluster as clustering
+    from . import dialect as dialectmod
+    from . import tones
+
     corpus = dialectmod.load_corpus(args.corpus)
     matrix, _ = dialectmod.region_distance_matrix(corpus, metric=args.metric)
     coords = clustering.classical_mds(matrix, dims=args.dims)
@@ -269,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("wav")
     p.add_argument("--method", choices=("f0", "model"), default="f0")
     p.add_argument("--model", help="model JSON file (required for --method model)")
-    p.add_argument("--beta", type=float, default=learn.DEFAULT_BETA,
+    p.add_argument("--beta", type=_positive, default=defaults.DEFAULT_BETA,
                    help="linearity threshold for the decoder (default %(default)s)")
     p.add_argument("--json", action="store_true",
                    help="print JSON with the pitch triple and linearity margin")
@@ -281,13 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True,
                    help="TSV manifest with header: wav_path, transcription")
     p.add_argument("--out", required=True, help="output model JSON path")
-    p.add_argument("--lr", type=float, default=0.002)
-    p.add_argument("--epochs", type=int, default=2000)
+    p.add_argument("--lr", type=_positive, default=0.002)
+    p.add_argument("--epochs", type=_nonnegative_int, default=2000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--l2", type=float, default=0.0)
-    p.add_argument("--beta", type=float, default=learn.DEFAULT_BETA,
+    p.add_argument("--l2", type=_nonnegative, default=0.0)
+    p.add_argument("--beta", type=_positive, default=defaults.DEFAULT_BETA,
                    help="decoder threshold used for the training-accuracy report")
-    p.add_argument("--feature-points", type=int, default=pitchmod.DEFAULT_FEATURE_POINTS,
+    p.add_argument("--feature-points", type=int, default=defaults.DEFAULT_FEATURE_POINTS,
                    help="contour feature length K (default %(default)s)")
     _add_f0_options(p)
     p.set_defaults(func=_cmd_train)
@@ -296,9 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("wavs", nargs="*", help="WAV files")
     p.add_argument("--wav-list", help="file with one WAV path per line")
     p.add_argument("--model", required=True)
-    p.add_argument("--eps", type=float, default=0.6)
+    p.add_argument("--eps", type=_positive, default=0.6)
     p.add_argument("--min-samples", type=int, default=4)
-    p.add_argument("--beta", type=float, default=learn.DEFAULT_BETA)
+    p.add_argument("--beta", type=_positive, default=defaults.DEFAULT_BETA)
     p.add_argument("--out-csv", help="write per-clip cluster labels to this CSV")
     _add_f0_options(p)
     p.set_defaults(func=_cmd_cluster_tones)
@@ -307,15 +349,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True,
                    help="TSV with header: region, word_id, transcription")
     p.add_argument("--gold", help="TSV with header: region, gold_label")
-    p.add_argument("--metric", choices=dialectmod.METRICS, default="tone2vec")
+    p.add_argument("--metric", choices=defaults.METRICS, default="tone2vec")
     p.add_argument("--linkage", default="mv",
-                   choices=(*clustering.LINKAGES, "all"))
+                   choices=(*defaults.LINKAGES, "all"))
     p.add_argument("--out-csv", help="write region labels to this CSV")
     p.set_defaults(func=_cmd_dialect_cluster)
 
     p = sub.add_parser("dialect-mds", help="embed dialect regions on a variance scale")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--metric", choices=dialectmod.METRICS, default="tone2vec")
+    p.add_argument("--metric", choices=defaults.METRICS, default="tone2vec")
     p.add_argument("--dims", type=int, choices=(1, 2), default=1)
     p.add_argument("-o", "--out", help="write CSV to this file instead of stdout")
     p.set_defaults(func=_cmd_dialect_mds)

@@ -27,10 +27,10 @@ from typing import Sequence
 
 import numpy as np
 
+from ._defaults import LINKAGES
 from .errors import InputError
 from .tones import DistanceMatrix, _write_text
 
-LINKAGES = ("sl", "cl", "ga", "wa", "uc", "wc", "mv")
 _SQUARED_LINKAGES = frozenset({"uc", "wc", "mv"})
 
 NOISE = -1

@@ -3,21 +3,16 @@ from __future__ import annotations
 
 import csv
 import os
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import cluster as clustering
-from . import learn
-from . import pitch as pitchmod
 from . import tones
-from .cluster import ClusterAssignment, LINKAGES, NOISE
-from .errors import CorpusError, InputError, naming
+from ._defaults import LINKAGES, METRICS
+from .errors import CorpusError, InputError
 from .tones import DistanceMatrix, Transcription, parse_transcription
-
-METRICS = ("tone2vec", "categorical")
 
 _CORPUS_HEADER = ("region", "word_id", "transcription")
 _GOLD_HEADER = ("region", "gold_label")
@@ -238,65 +233,3 @@ def dialect_variance_map(corpus: DialectCorpus, metric: str = "tone2vec") -> Emb
     matrix, _ = region_distance_matrix(corpus, metric)
     coords = clustering.classical_mds(matrix, dims=1)
     return Embedding1D(corpus.region_ids, coords[:, 0])
-
-
-@dataclass(frozen=True)
-class ToneClusteringResult:
-    """Discovered tone categories for a set of single-syllable clips."""
-
-    assignment: ClusterAssignment
-    decoded: tuple[Transcription, ...]
-    categories: tuple[tuple[int, Transcription], ...]  # (cluster id, representative)
-    noise: tuple[int, ...]
-
-    @property
-    def n_categories(self) -> int:
-        return len(self.categories)
-
-
-def _modal_transcription(candidates: Sequence[Transcription]) -> Transcription:
-    counts = Counter(t.digits for t in candidates)
-    best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return Transcription(best[0])
-
-
-def tone_clustering_pipeline(
-    clips: Iterable[pitchmod.AudioClip],
-    model: learn.LinearToneModel,
-    eps: float = 0.6,
-    min_samples: int = 4,
-    *,
-    beta: float = learn.DEFAULT_BETA,
-    sources: Sequence[str] | None = None,
-    **f0_options,
-) -> ToneClusteringResult:
-    """Discover a dialect's tone categories from raw clips.
-
-    Each clip is embedded as a pitch triple, the triples are density-
-    clustered, and each cluster is named by the modal decoded transcription
-    of its members (ties resolve to the smallest transcription). An all-noise
-    result reports zero categories, not an error; in particular, fewer than
-    min_samples clips are all noise.
-
-    Clips are embedded one at a time as the iterable yields them, so a
-    generator that reads each clip on demand keeps one in memory. An error
-    on clip i is prefixed with sources[i] when sources are given.
-    """
-    triples = []
-    decoded = []
-    for i, clip in enumerate(clips):
-        with naming(None if sources is None else sources[i]):
-            track = pitchmod.extract_f0(clip, **f0_options)
-            z = learn.embed(model, pitchmod.contour_feature(track, k=model.n_features))
-        triples.append(z)
-        decoded.append(learn.decode_transcription(z, beta))
-    if not triples:
-        raise InputError("tone clustering needs at least one clip")
-
-    assignment = clustering.dbscan(np.array(triples), eps, min_samples)
-    categories = []
-    for cid in sorted(set(assignment.labels) - {NOISE}):
-        members = [decoded[i] for i, l in enumerate(assignment.labels) if l == cid]
-        categories.append((cid, _modal_transcription(members)))
-    noise = tuple(i for i, l in enumerate(assignment.labels) if l == NOISE)
-    return ToneClusteringResult(assignment, tuple(decoded), tuple(categories), noise)

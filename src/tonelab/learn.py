@@ -1,6 +1,6 @@
 """Pitch-triple loss, its subgradient, the transcription decoder (also behind
-the quadratic-fit F0 baseline), and a small trainable contour-to-transcription
-regressor.
+the quadratic-fit F0 baseline), a small trainable contour-to-transcription
+regressor, and tone-category discovery from clips embedded by it.
 
 A model predicts three pitch levels z = (z1, z2, z3), each in [1, 5]. Labels
 are transcriptions of length 2 or 3. The loss compares z against the label's
@@ -13,18 +13,19 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputError
-from .pitch import F0Track, f0_baseline_triple
+from . import cluster as clustering
+from . import pitch as pitchmod
+from ._defaults import DEFAULT_BETA
+from .errors import InputError, naming
 from .tones import Transcription, _write_text
 
 PitchTriple = tuple[float, float, float]
-
-DEFAULT_BETA = 0.5
 
 _MODEL_FORMAT = "tonelab-linear-tone-model"
 _MODEL_VERSION = 1
@@ -94,9 +95,9 @@ def decode_transcription(z: Sequence[float], beta: float = DEFAULT_BETA) -> Tran
     return Transcription(tuple(_clamp_digit(_round_half_away(v)) for v in digits))
 
 
-def f0_baseline_transcribe(track: F0Track, beta: float = DEFAULT_BETA) -> Transcription:
+def f0_baseline_transcribe(track: pitchmod.F0Track, beta: float = DEFAULT_BETA) -> Transcription:
     """Quadratic-fit baseline: transcribe a tone directly from its F0 track."""
-    return decode_transcription(f0_baseline_triple(track), beta)
+    return decode_transcription(pitchmod.f0_baseline_triple(track), beta)
 
 
 def _as_feature_array(x) -> np.ndarray:
@@ -239,3 +240,65 @@ def train_tone_model(
         best_loss = final_loss
         best = (weights, bias)
     return LinearToneModel(best[0], best[1], loss_history=tuple(history))
+
+
+@dataclass(frozen=True)
+class ToneClusteringResult:
+    """Discovered tone categories for a set of single-syllable clips."""
+
+    assignment: clustering.ClusterAssignment
+    decoded: tuple[Transcription, ...]
+    categories: tuple[tuple[int, Transcription], ...]  # (cluster id, representative)
+    noise: tuple[int, ...]
+
+    @property
+    def n_categories(self) -> int:
+        return len(self.categories)
+
+
+def _modal_transcription(candidates: Sequence[Transcription]) -> Transcription:
+    counts = Counter(t.digits for t in candidates)
+    best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return Transcription(best[0])
+
+
+def tone_clustering_pipeline(
+    clips: Iterable[pitchmod.AudioClip],
+    model: LinearToneModel,
+    eps: float = 0.6,
+    min_samples: int = 4,
+    *,
+    beta: float = DEFAULT_BETA,
+    sources: Sequence[str] | None = None,
+    **f0_options,
+) -> ToneClusteringResult:
+    """Discover a dialect's tone categories from raw clips.
+
+    Each clip is embedded as a pitch triple, the triples are density-
+    clustered, and each cluster is named by the modal decoded transcription
+    of its members (ties resolve to the smallest transcription). An all-noise
+    result reports zero categories, not an error; in particular, fewer than
+    min_samples clips are all noise.
+
+    Clips are embedded one at a time as the iterable yields them, so a
+    generator that reads each clip on demand keeps one in memory. An error
+    on clip i is prefixed with sources[i] when sources are given.
+    """
+    triples = []
+    decoded = []
+    for i, clip in enumerate(clips):
+        with naming(None if sources is None else sources[i]):
+            track = pitchmod.extract_f0(clip, **f0_options)
+            z = embed(model, pitchmod.contour_feature(track, k=model.n_features))
+        triples.append(z)
+        decoded.append(decode_transcription(z, beta))
+    if not triples:
+        raise InputError("tone clustering needs at least one clip")
+
+    assignment = clustering.dbscan(np.array(triples), eps, min_samples)
+    categories = []
+    for cid in sorted(set(assignment.labels) - {clustering.NOISE}):
+        members = [decoded[i] for i, l in enumerate(assignment.labels) if l == cid]
+        categories.append((cid, _modal_transcription(members)))
+    noise = tuple(i for i, l in enumerate(assignment.labels) if l == clustering.NOISE)
+    return ToneClusteringResult(assignment, tuple(decoded), tuple(categories), noise)

@@ -19,16 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._defaults import (DEFAULT_FEATURE_POINTS, DEFAULT_FRAME_MS, DEFAULT_HOP_MS,
+                        DEFAULT_YIN_THRESHOLD, F0_CEIL_HZ, F0_FLOOR_HZ)
 from .errors import AudioError, InputError, VoicingError
 from .tones import _write_text
-
-F0_FLOOR_HZ = 50.0
-F0_CEIL_HZ = 600.0
-
-DEFAULT_FRAME_MS = 40.0
-DEFAULT_HOP_MS = 10.0
-DEFAULT_YIN_THRESHOLD = 0.15
-DEFAULT_FEATURE_POINTS = 20
 
 _MIN_VOICED_FRAMES = 5
 

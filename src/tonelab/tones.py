@@ -27,12 +27,19 @@ CURVE_DOMAIN = (1.0, 3.0)
 
 
 def _write_text(text: str, path: str | os.PathLike | None) -> str:
-    """Write text to path, or to stdout if path is None; return text."""
+    """Write text to path, or to stdout if path is None; return text.
+
+    A file that cannot be written raises InputError naming its path."""
     # 64 KiB slices: encoding a large output whole would add a full copy to peak memory.
-    with (contextlib.nullcontext(sys.stdout) if path is None
-          else open(path, "w", encoding="utf-8")) as fh:
-        for start in range(0, len(text), 1 << 16):
-            fh.write(text[start : start + (1 << 16)])
+    try:
+        with (contextlib.nullcontext(sys.stdout) if path is None
+              else open(path, "w", encoding="utf-8")) as fh:
+            for start in range(0, len(text), 1 << 16):
+                fh.write(text[start : start + (1 << 16)])
+    except OSError as exc:
+        if path is None:
+            raise
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
     return text
 
 
@@ -120,46 +127,60 @@ def _code(t: Transcription) -> int:
     return code if len(t.digits) == 2 else 25 + code
 
 
+def _abs_integrals(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Integral of |a x^2 + b x + c| over CURVE_DOMAIN, elementwise, in closed form.
+
+    The real roots inside the domain split it, and the absolute antiderivative
+    differences of the pieces are added left to right. A missing root is
+    replaced by the upper end, whose piece adds exactly 0, so every entry
+    equals the scalar evaluation bit for bit.
+    """
+    lo, hi = CURVE_DOMAIN
+    quadratic = a != 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = b * b - 4.0 * a * c
+        s = np.sqrt(disc)
+        r1 = (-b - s) / (2.0 * a)
+        r2 = (-b + s) / (2.0 * a)
+        linear = -c / b
+    # A double root does not change the sign, so no split is needed.
+    two = quadratic & (disc > 0.0)
+    first = np.where(two, np.minimum(r1, r2),
+                     np.where(~quadratic & (b != 0.0), linear, np.nan))
+    second = np.where(two, np.maximum(r1, r2), np.nan)
+    in1 = (lo < first) & (first < hi)
+    in2 = (lo < second) & (second < hi)
+    p1 = np.where(in1, first, np.where(in2, second, hi))
+    p2 = np.where(in1 & in2, second, hi)
+    a3, b2 = a / 3.0, b / 2.0
+    f_lo, f1, f2, f_hi = (((a3 * x + b2) * x + c) * x for x in (lo, p1, p2, hi))
+    return np.abs(f1 - f_lo) + np.abs(f2 - f1) + np.abs(f_hi - f2)
+
+
+_PAIR_BLOCK = 1024  # pairs per _abs_integrals call: keeps _table()'s temporaries small
+
+
 @lru_cache(maxsize=1)
 def _table() -> np.ndarray:
     """Read-only 150x150 tone_distance table in canonical order.
 
-    Row i is computed against rows i+1.. in closed form: the roots of the
-    difference polynomial inside (1, 3) split the domain, and the absolute
-    antiderivative differences of the pieces are added left to right. A
-    missing root is replaced by the upper end 3, whose piece adds exactly 0,
-    so every entry equals the scalar evaluation bit for bit. The lower
-    triangle mirrors the upper one: swapping the two curves negates every
-    intermediate value exactly, so the swapped evaluation gives the same bits.
+    The pairs i < j are evaluated in row-major order, _PAIR_BLOCK at a time,
+    on the difference of their curves. The lower triangle mirrors the upper
+    one: swapping the two curves negates every intermediate value exactly, so
+    the swapped evaluation gives the same bits.
     """
-    lo, hi = CURVE_DOMAIN
     curves = [curve_of(t) for t in canonical_transcriptions()]
     coef = np.array([[cu.a, cu.b, cu.c] for cu in curves])
     n = len(coef)
+    upper_mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    rows, cols = np.nonzero(upper_mask)
+    upper = np.empty(len(rows))
+    for start in range(0, len(rows), _PAIR_BLOCK):
+        block = slice(start, start + _PAIR_BLOCK)
+        upper[block] = _abs_integrals(*(coef[rows[block]] - coef[cols[block]]).T)
     table = np.zeros((n, n))
-    for i in range(n - 1):
-        a, b, c = (coef[i] - coef[i + 1:]).T
-        quadratic = a != 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            disc = b * b - 4.0 * a * c
-            s = np.sqrt(disc)
-            r1 = (-b - s) / (2.0 * a)
-            r2 = (-b + s) / (2.0 * a)
-            linear = -c / b
-        # A double root does not change the sign, so no split is needed.
-        two = quadratic & (disc > 0.0)
-        first = np.where(two, np.minimum(r1, r2),
-                         np.where(~quadratic & (b != 0.0), linear, np.nan))
-        second = np.where(two, np.maximum(r1, r2), np.nan)
-        in1 = (lo < first) & (first < hi)
-        in2 = (lo < second) & (second < hi)
-        p1 = np.where(in1, first, np.where(in2, second, hi))
-        p2 = np.where(in1 & in2, second, hi)
-        a3, b2 = a / 3.0, b / 2.0
-        f_lo, f1, f2, f_hi = (((a3 * x + b2) * x + c) * x for x in (lo, p1, p2, hi))
-        row = np.abs(f1 - f_lo) + np.abs(f2 - f1) + np.abs(f_hi - f2)
-        table[i, i + 1:] = row
-        table[i + 1:, i] = row
+    table[upper_mask] = upper
+    table.T[upper_mask] = upper
     table.setflags(write=False)
     return table
 

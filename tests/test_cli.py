@@ -139,6 +139,41 @@ def test_transcribe_imports_no_scipy(rise_wav):
     assert out.splitlines()[-1] == "0 []"
 
 
+def _modules_loaded_by(*argv):
+    """The numpy and tonelab.* modules a child has loaded after main(argv)."""
+    code = ("import json, sys\nfrom tonelab.cli import main\n"
+            "try:\n    main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
+            "print(json.dumps([m for m in sys.modules if m in ('numpy', 'tonelab') "
+            "or m.startswith('tonelab.')]))")
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                         text=True, check=True).stdout
+    return set(json.loads(out.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["dist", "--help"],
+                                  ["train", "--help"], ["dialect-cluster", "--help"]])
+def test_version_and_help_load_no_numpy(argv):
+    assert "numpy" not in _modules_loaded_by(*argv)
+
+
+AUDIO_AND_SURVEY = {"tonelab.cluster", "tonelab.dialect", "tonelab.learn", "tonelab.pitch"}
+
+
+@pytest.mark.parametrize("argv", [["dist", "41", "312"], ["dist", "--matrix"],
+                                  ["variance", "445", "45"]])
+def test_tone_commands_load_no_audio_or_survey_modules(argv):
+    loaded = _modules_loaded_by(*argv)
+    assert "tonelab.tones" in loaded
+    assert not loaded & AUDIO_AND_SURVEY
+
+
+@pytest.mark.parametrize("sub", ["dialect-cluster", "dialect-mds"])
+def test_survey_commands_load_no_audio_modules(sub, corpus_tsv):
+    loaded = _modules_loaded_by(sub, "--corpus", corpus_tsv[0])
+    assert {"tonelab.dialect", "tonelab.cluster"} <= loaded
+    assert not loaded & {"tonelab.learn", "tonelab.pitch"}
+
+
 def test_transcribe_missing_file(capsys):
     assert main(["transcribe", "missing.wav"]) == 2
 
@@ -375,6 +410,63 @@ def test_every_subcommand_has_help(sub, capsys):
         main([sub, "--help"])
     assert exc.value.code == 0
     assert "usage" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sub,expected", [
+    ("transcribe", ["lowest admissible F0 in Hz (default 50.0)", "(default 600.0)",
+                    "(default 40.0)", "(default 10.0)", "(default 0.15)",
+                    "decoder (default 0.5)"]),
+    ("train", ["contour feature length K (default 20)", "(default 0.15)"]),
+    ("dialect-cluster", ["{tone2vec,categorical}", "{sl,cl,ga,wa,uc,wc,mv,all}"]),
+    ("dialect-mds", ["{tone2vec,categorical}"]),
+])
+def test_help_shows_package_defaults(sub, expected, capsys):
+    with pytest.raises(SystemExit):
+        main([sub, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for phrase in expected:
+        assert phrase in text
+
+
+BAD_NUMBERS = [
+    (["transcribe", "a.wav"], "--beta", ["inf", "nan", "0", "-0.5", "x"]),
+    (["cluster-tones", "a.wav", "--model", "m.json"], "--eps", ["nan", "inf", "0", "-1"]),
+    (["cluster-tones", "a.wav", "--model", "m.json"], "--beta", ["nan", "0"]),
+    (["train", "--data", "t.tsv", "--out", "m.json", "--seed", "1"], "--lr",
+     ["nan", "inf", "0", "-0.002"]),
+    (["train", "--data", "t.tsv", "--out", "m.json", "--seed", "1"], "--l2",
+     ["nan", "inf", "-0.1"]),
+    (["train", "--data", "t.tsv", "--out", "m.json", "--seed", "1"], "--epochs",
+     ["-5", "1.5", "nan"]),
+    (["train", "--data", "t.tsv", "--out", "m.json", "--seed", "1"], "--beta", ["nan"]),
+]
+
+
+@pytest.mark.parametrize("argv,flag,value", [
+    (argv, flag, value) for argv, flag, values in BAD_NUMBERS for value in values])
+def test_bad_numeric_flag_exits_2(argv, flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: expected " in captured.err
+    assert repr(value) in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "41", "312", "-o"],
+    ["dist", "--matrix", "-o"],
+    ["dialect-mds", "--corpus", "CORPUS", "-o"],
+    ["dialect-cluster", "--corpus", "CORPUS", "--out-csv"],
+    ["transcribe", "WAV", "--f0-csv"],
+])
+def test_missing_output_directory_exits_2(argv, tmp_path, capsys, corpus_tsv, rise_wav):
+    target = str(tmp_path / "no-such-dir" / "out.csv")
+    argv = [{"CORPUS": corpus_tsv[0], "WAV": rise_wav}.get(a, a) for a in argv]
+    assert main([*argv, target]) == 2
+    err = capsys.readouterr().err
+    assert err == f"tonelab: error: cannot write {target}: No such file or directory\n"
 
 
 def test_unknown_flag_fails(capsys):

@@ -428,7 +428,7 @@ def test_tone_clustering_clip_order_invariant():
 
 
 def test_tone_clustering_modal_tie_breaks_to_smallest():
-    from tonelab.dialect import _modal_transcription
+    from tonelab.learn import _modal_transcription
 
     pool = [parse_transcription("51"), parse_transcription("15")]
     assert _modal_transcription(pool).token == "15"

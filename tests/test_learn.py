@@ -213,6 +213,13 @@ def test_model_json_round_trip(tmp_path):
     assert np.array_equal(loaded.bias, model.bias)
 
 
+def test_model_save_into_missing_directory_names_the_path(tmp_path):
+    model = LinearToneModel(np.zeros((3, 4)), np.zeros(3))
+    path = tmp_path / "no-such-dir" / "model.json"
+    with pytest.raises(InputError, match=f"cannot write {path}: No such file or directory"):
+        model.save(path)
+
+
 def test_model_json_rejects_bad_payloads(tmp_path):
     with pytest.raises(InputError):
         LinearToneModel.from_json("not json")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from tonelab import (
     tone_distance_database,
     variance_metric,
 )
+from tonelab import tones
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -262,6 +264,25 @@ def test_database_bit_identical_to_scalar_closed_form():
     assert np.array_equal(tone_distance_database().values, ref)
     assert all(tone_distance(a, b) == ref[i, j]
                for i, a in enumerate(ts) for j, b in enumerate(ts))
+
+
+@pytest.mark.parametrize("block", [1, 7, 150, 1024, 11175, 20000])
+def test_table_bit_identical_at_any_pair_block(block, monkeypatch):
+    # the cached table came from the default block; a rebuild at any block
+    # size evaluates the same pairs with the same operations
+    monkeypatch.setattr(tones, "_PAIR_BLOCK", block)
+    assert np.array_equal(tones._table.__wrapped__(), tones._table())
+
+
+def test_table_build_memory_stays_small():
+    tones._table()  # any one-time allocations happen outside the measurement
+    tracemalloc.start()
+    try:
+        tones._table.__wrapped__()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6 * 2**20
 
 
 @pytest.mark.parametrize("order", ["seeded-600-with-repeats", "canonical-reversed"])
