@@ -7,7 +7,7 @@ configuration and input always produce byte-identical results.
 from __future__ import annotations
 
 import argparse
-import csv
+import errno
 import json
 import math
 import os
@@ -70,18 +70,12 @@ def _f0_options(args: argparse.Namespace) -> dict:
 def _read_token_file(path: str) -> list:
     from . import tones
 
-    if not os.path.exists(path):
-        raise InputError(f"token file not found: {path}")
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            token = line.strip()
-            if not token:
-                continue
-            try:
-                out.append(tones.parse_transcription(token))
-            except InputError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, token in tones._nonempty_lines(path, "token file"):
+        try:
+            out.append(tones.parse_transcription(token))
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
     if not out:
         raise InputError(f"token file {path} contains no tokens")
     return out
@@ -118,6 +112,10 @@ def _cmd_transcribe(args: argparse.Namespace) -> int:
     from . import learn
     from . import pitch as pitchmod
 
+    if args.method == "model":  # a bad model fails before the F0 CSV is written
+        if not args.model:
+            raise InputError("--model is required with --method model")
+        model = learn.LinearToneModel.load(args.model)
     clip = pitchmod.read_wav(args.wav)
     track = pitchmod.extract_f0(clip, **_f0_options(args))
     if args.f0_csv:
@@ -125,9 +123,6 @@ def _cmd_transcribe(args: argparse.Namespace) -> int:
     if args.method == "f0":
         triple = pitchmod.f0_baseline_triple(track)
     else:
-        if not args.model:
-            raise InputError("--model is required with --method model")
-        model = learn.LinearToneModel.load(args.model)
         feature = pitchmod.contour_feature(track, k=model.n_features)
         triple = learn.embed(model, feature)
     result = learn.decode_transcription(triple, args.beta)
@@ -148,20 +143,10 @@ def _cmd_transcribe(args: argparse.Namespace) -> int:
 def _read_training_manifest(path: str) -> list[tuple]:
     from . import tones
 
-    if not os.path.exists(path):
-        raise InputError(f"manifest not found: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh, delimiter="\t"))
-    if not rows:
-        raise InputError(f"empty manifest: {path}")
-    header = tuple(cell.strip() for cell in rows[0])
-    if header != ("wav_path", "transcription"):
-        raise InputError(
-            f"{path}: expected header ['wav_path', 'transcription'], got {list(header)}"
-        )
+    rows = tones._read_tsv(path, ("wav_path", "transcription"), "manifest")
     base = os.path.dirname(os.path.abspath(path))
     out = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in enumerate(rows, start=2):
         if len(row) != 2:
             raise InputError(f"{path}:{lineno}: expected 2 columns")
         wav_path, token = (cell.strip() for cell in row)
@@ -172,8 +157,6 @@ def _read_training_manifest(path: str) -> list[tuple]:
         if not os.path.isabs(wav_path):
             wav_path = os.path.join(base, wav_path)
         out.append((wav_path, label))
-    if not out:
-        raise InputError(f"manifest {path} lists no clips")
     return out
 
 
@@ -211,17 +194,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _collect_wavs(args: argparse.Namespace) -> list[str]:
+    from . import tones
+
     paths = list(args.wavs)
     if args.wav_list:
-        if not os.path.exists(args.wav_list):
-            raise InputError(f"wav list not found: {args.wav_list}")
         base = os.path.dirname(os.path.abspath(args.wav_list))
-        with open(args.wav_list, "r", encoding="utf-8") as fh:
-            for line in fh:
-                p = line.strip()
-                if not p:
-                    continue
-                paths.append(p if os.path.isabs(p) else os.path.join(base, p))
+        for _, p in tones._nonempty_lines(args.wav_list, "wav list"):
+            paths.append(p if os.path.isabs(p) else os.path.join(base, p))
     if not paths:
         raise InputError("no WAV files given (pass paths or --wav-list)")
     return paths
@@ -365,10 +344,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_dirs(args: argparse.Namespace) -> None:
+    """Raise InputError before any work if an output path's directory is missing."""
+    for name in ("out", "out_csv", "f0_csv"):  # every subcommand's output options
+        path = getattr(args, name, None)
+        parent = os.path.dirname(path or "") or "."
+        if path and not os.path.isdir(parent):
+            reason = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+            raise InputError(f"cannot write {path}: {os.strerror(reason)}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_dirs(args)
         return args.func(args)
     except InputError as exc:
         print(f"tonelab: error: {exc}", file=sys.stderr)

@@ -1,7 +1,6 @@
 """Corpus ingestion and the cross-dialect analysis pipelines."""
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -54,23 +53,6 @@ class DialectCorpus:
         return [self.gold_cluster[r] for r in self.region_ids]
 
 
-def _read_tsv(path: str | os.PathLike, expected_header: tuple[str, ...]):
-    if not os.path.exists(path):
-        raise CorpusError(f"file not found: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh, delimiter="\t"))
-    if not rows:
-        raise CorpusError(f"empty file: {path}")
-    header = tuple(cell.strip() for cell in rows[0])
-    if header != expected_header:
-        raise CorpusError(
-            f"{path}: expected header {list(expected_header)}, got {list(header)}"
-        )
-    if len(rows) == 1:
-        raise CorpusError(f"{path}: no data rows")
-    return rows[1:]
-
-
 def load_corpus(path: str | os.PathLike,
                 gold_path: str | os.PathLike | None = None) -> DialectCorpus:
     """Load a TSV corpus (region, word_id, transcription) and optional gold labels.
@@ -78,7 +60,7 @@ def load_corpus(path: str | os.PathLike,
     Rows with invalid transcription tokens are rejected with their line number;
     duplicate (region, word_id) pairs are an error.
     """
-    rows = _read_tsv(path, _CORPUS_HEADER)
+    rows = tones._read_tsv(path, _CORPUS_HEADER, error=CorpusError)
     lexicons: dict[str, dict[str, Transcription]] = {}
     for lineno, row in enumerate(rows, start=2):
         if len(row) != 3:
@@ -98,7 +80,8 @@ def load_corpus(path: str | os.PathLike,
     gold = None
     if gold_path is not None:
         gold = {}
-        for lineno, row in enumerate(_read_tsv(gold_path, _GOLD_HEADER), start=2):
+        gold_rows = tones._read_tsv(gold_path, _GOLD_HEADER, error=CorpusError)
+        for lineno, row in enumerate(gold_rows, start=2):
             if len(row) != 2:
                 raise CorpusError(f"{gold_path}:{lineno}: expected 2 columns")
             region, label = (cell.strip() for cell in row)

@@ -23,7 +23,7 @@ from . import cluster as clustering
 from . import pitch as pitchmod
 from ._defaults import DEFAULT_BETA
 from .errors import InputError, naming
-from .tones import Transcription, _write_text
+from .tones import Transcription, _reading, _write_text
 
 PitchTriple = tuple[float, float, float]
 
@@ -123,8 +123,9 @@ class LinearToneModel:
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
         b = np.asarray(self.bias, dtype=float)
-        if w.ndim != 2 or w.shape[0] != 3 or b.shape != (3,):
-            raise InputError(f"expected (3, K) weights and (3,) bias, got {w.shape}, {b.shape}")
+        # contour features have K >= 2 points
+        if w.ndim != 2 or w.shape[0] != 3 or w.shape[1] < 2 or b.shape != (3,):
+            raise InputError(f"expected (3, K >= 2) weights and (3,) bias, got {w.shape}, {b.shape}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
 
@@ -152,18 +153,28 @@ class LinearToneModel:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError(f"model file is not valid JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise InputError(f"model file must hold a JSON object, got {type(payload).__name__}")
         if payload.get("format") != _MODEL_FORMAT:
             raise InputError(f"unrecognized model format {payload.get('format')!r}")
         if payload.get("version") != _MODEL_VERSION:
             raise InputError(f"unsupported model version {payload.get('version')!r}")
-        return cls(np.array(payload["weights"], dtype=float), np.array(payload["bias"], dtype=float))
+        try:
+            weights, bias = (np.array(payload[key], dtype=float) for key in ("weights", "bias"))
+        except KeyError as exc:
+            raise InputError(f"model file lacks {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"model weights and bias must be numeric arrays: {exc}") from exc
+        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+            raise InputError("model weights and bias must be finite")
+        return cls(weights, bias)
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "LinearToneModel":
-        if not os.path.exists(path):
-            raise InputError(f"model file not found: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+        with _reading(path, "model file") as fh:
+            text = fh.read()
+        with naming(str(path)):
+            return cls.from_json(text)
 
 
 def embed(model: LinearToneModel, x) -> PitchTriple:

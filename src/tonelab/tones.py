@@ -9,18 +9,21 @@ area between their curves, computed in closed form.
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import itertools
 import math
 import os
+import struct
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .errors import InputError, TranscriptionError
+
+# numpy is imported inside the functions that build arrays, so one pair's
+# distance, the variance metric and the text helpers load none.
 
 PITCH_LEVELS = (1, 2, 3, 4, 5)
 CURVE_DOMAIN = (1.0, 3.0)
@@ -41,6 +44,43 @@ def _write_text(text: str, path: str | os.PathLike | None) -> str:
             raise
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
     return text
+
+
+@contextlib.contextmanager
+def _reading(path: str | os.PathLike, what: str = "file",
+             error: type[InputError] = InputError) -> Iterator[io.TextIOBase]:
+    """Open a user's UTF-8 text file for the block. A file that is missing,
+    unreadable or not UTF-8 raises ``error`` naming what it is and its path."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield fh
+    except FileNotFoundError as exc:
+        raise error(f"{what} not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise error(f"cannot read {what} {path}: {reason}") from exc
+
+
+def _read_tsv(path: str | os.PathLike, header: tuple[str, ...], what: str = "file",
+              error: type[InputError] = InputError) -> list[list[str]]:
+    """The data rows of a user's tab-separated file, after checking its header."""
+    with _reading(path, what, error) as fh:
+        rows = list(csv.reader(fh, delimiter="\t"))
+    if not rows:
+        raise error(f"empty {what}: {path}")
+    found = [cell.strip() for cell in rows[0]]
+    if tuple(found) != header:
+        raise error(f"{path}: expected header {list(header)}, got {found}")
+    if len(rows) == 1:
+        raise error(f"{path}: no data rows")
+    return rows[1:]
+
+
+def _nonempty_lines(path: str | os.PathLike, what: str) -> list[tuple[int, str]]:
+    """(line number, stripped text) of each non-blank line of a user's text file."""
+    with _reading(path, what) as fh:
+        return [(lineno, text) for lineno, line in enumerate(fh, start=1)
+                if (text := line.strip())]
 
 
 @dataclass(frozen=True, order=True)
@@ -133,8 +173,10 @@ def _abs_integrals(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     The real roots inside the domain split it, and the absolute antiderivative
     differences of the pieces are added left to right. A missing root is
     replaced by the upper end, whose piece adds exactly 0, so every entry
-    equals the scalar evaluation bit for bit.
+    equals the scalar evaluation (_abs_integral) bit for bit.
     """
+    import numpy as np
+
     lo, hi = CURVE_DOMAIN
     quadratic = a != 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -157,6 +199,29 @@ def _abs_integrals(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.abs(f1 - f_lo) + np.abs(f2 - f1) + np.abs(f_hi - f2)
 
 
+def _abs_integral(a: float, b: float, c: float) -> float:
+    """_abs_integrals for one polynomial in pure Python: the same expressions in
+    the same order, with p1 and p2 chosen as its np.where chain chooses them."""
+    lo, hi = CURVE_DOMAIN
+    first = second = math.nan
+    if a != 0.0:
+        disc = b * b - 4.0 * a * c
+        if disc > 0.0:
+            s = math.sqrt(disc)
+            r1 = (-b - s) / (2.0 * a)
+            r2 = (-b + s) / (2.0 * a)
+            first, second = min(r1, r2), max(r1, r2)
+    elif b != 0.0:
+        first = -c / b
+    in1 = lo < first < hi
+    in2 = lo < second < hi
+    p1 = first if in1 else second if in2 else hi
+    p2 = second if in1 and in2 else hi
+    a3, b2 = a / 3.0, b / 2.0
+    f_lo, f1, f2, f_hi = (((a3 * x + b2) * x + c) * x for x in (lo, p1, p2, hi))
+    return abs(f1 - f_lo) + abs(f2 - f1) + abs(f_hi - f2)
+
+
 _PAIR_BLOCK = 1024  # pairs per _abs_integrals call: keeps _table()'s temporaries small
 
 
@@ -169,6 +234,8 @@ def _table() -> np.ndarray:
     one: swapping the two curves negates every intermediate value exactly, so
     the swapped evaluation gives the same bits.
     """
+    import numpy as np
+
     curves = [curve_of(t) for t in canonical_transcriptions()]
     coef = np.array([[cu.a, cu.b, cu.c] for cu in curves])
     n = len(coef)
@@ -189,14 +256,25 @@ def tone_distance(l1: Transcription, l2: Transcription) -> float:
     """Area between the pitch curves of two transcriptions on [1, 3].
 
     Symmetric, nonnegative, and zero whenever the curves coincide (which can
-    happen for distinct transcriptions, e.g. "35" and "345").
+    happen for distinct transcriptions, e.g. "35" and "345"). Equal bit for
+    bit to the entry of _table(), without loading numpy.
     """
-    return float(_table()[_code(l1), _code(l2)])
+    c1, c2 = curve_of(l1), curve_of(l2)
+    return _abs_integral(c1.a - c2.a, c1.b - c2.b, c1.c - c2.c)
 
 
 def categorical_distance(l1: Transcription, l2: Transcription) -> int:
     """0 if the two transcriptions are identical, 1 otherwise."""
     return 0 if l1.digits == l2.digits else 1
+
+
+class _SixDecimals(dict):
+    """float64 bit pattern -> its 6-decimal text, formatted on first lookup."""
+
+    def __missing__(self, key: int) -> str:
+        value = struct.unpack("d", key.to_bytes(8, sys.byteorder))[0]
+        text = self[key] = f"{value:.6f}"
+        return text
 
 
 @dataclass(frozen=True)
@@ -207,6 +285,8 @@ class DistanceMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
         n = len(self.labels)
@@ -230,23 +310,27 @@ class DistanceMatrix:
 
     def to_csv(self, path: str | os.PathLike | None = None) -> str:
         """Serialize as CSV: header row of labels, then labelled rows, 6 decimals."""
-        # Each distinct value is formatted once, keyed on bits so -0.0 keeps its sign.
+        import numpy as np
+
+        # Each distinct row is formatted once, keyed on its bits, and repeated rows
+        # share its string. Each distinct value is formatted once, also keyed on
+        # bits, so -0.0 keeps its sign.
         bits = self.values.view(np.uint64)
-        distinct: set[int] = set()
-        for row in bits:
-            distinct.update(row.tolist())
-        keys = np.fromiter(distinct, np.uint64, len(distinct))
-        text_of = dict(zip(keys.tolist(), [f"{x:.6f}" for x in keys.view(np.float64).tolist()]))
-        buf = io.StringIO()
-        buf.write("label," + ",".join(self.labels) + "\n")
-        for label, row in zip(self.labels, bits):
-            buf.write(label + "," + ",".join(map(text_of.__getitem__, row.tolist())) + "\n")
-        text = buf.getvalue()
+        first: dict[bytes, int] = {}
+        row_of = [first.setdefault(row.tobytes(), i) for i, row in enumerate(bits)]
+        text_of = _SixDecimals()
+        body = {i: ",".join(map(text_of.__getitem__, bits[i].tolist())) for i in first.values()}
+        parts = ["label,", ",".join(self.labels), "\n"]
+        for label, i in zip(self.labels, row_of):
+            parts += (label, ",", body[i], "\n")
+        text = "".join(parts)
         return text if path is None else _write_text(text, path)
 
 
 def build_distance_matrix(ls: Sequence[Transcription]) -> DistanceMatrix:
     """Pairwise tone_distance matrix; labels preserve input order."""
+    import numpy as np
+
     if len(ls) == 0:
         raise InputError("cannot build a distance matrix from an empty list")
     codes = [_code(t) for t in ls]

@@ -160,11 +160,13 @@ AUDIO_AND_SURVEY = {"tonelab.cluster", "tonelab.dialect", "tonelab.learn", "tone
 
 
 @pytest.mark.parametrize("argv", [["dist", "41", "312"], ["dist", "--matrix"],
-                                  ["variance", "445", "45"]])
-def test_tone_commands_load_no_audio_or_survey_modules(argv):
-    loaded = _modules_loaded_by(*argv)
+                                  ["variance", "445", "45"], ["dist", "41", "312", "-o", "OUT"]])
+def test_tone_commands_load_no_audio_or_survey_modules(argv, tmp_path):
+    loaded = _modules_loaded_by(*[str(tmp_path / "d.txt") if a == "OUT" else a for a in argv])
     assert "tonelab.tones" in loaded
     assert not loaded & AUDIO_AND_SURVEY
+    # one pair's distance and the variance metric are pure Python
+    assert ("numpy" in loaded) == ("--matrix" in argv)
 
 
 @pytest.mark.parametrize("sub", ["dialect-cluster", "dialect-mds"])
@@ -467,6 +469,72 @@ def test_missing_output_directory_exits_2(argv, tmp_path, capsys, corpus_tsv, ri
     assert main([*argv, target]) == 2
     err = capsys.readouterr().err
     assert err == f"tonelab: error: cannot write {target}: No such file or directory\n"
+
+
+_MODEL = {"format": "tonelab-linear-tone-model", "version": 1,
+          "weights": [[0.0] * 4] * 3, "bias": [0.0] * 3}
+BAD_MODELS = {
+    "top_list": [_MODEL],
+    "no_weights": {k: v for k, v in _MODEL.items() if k != "weights"},
+    "no_bias": {k: v for k, v in _MODEL.items() if k != "bias"},
+    "ragged": {**_MODEL, "weights": [[0.0, 0.0], [0.0], [0.0, 0.0]]},
+    "two_rows": {**_MODEL, "weights": [[0.0] * 4] * 2},
+    "one_column": {**_MODEL, "weights": [[0.0]] * 3},
+    "bias_4": {**_MODEL, "bias": [0.0] * 4},
+    "text_weights": {**_MODEL, "weights": "none"},
+    "no_format": {"bias": [0.0] * 3},
+}
+
+# (argv, the path stderr must name). {missing} lies in a missing directory and
+# {under_file} under a regular file; {dir} is a directory and {latin1} is not UTF-8.
+BAD_INPUTS = [
+    # output paths are checked before any input is read, even a missing one
+    ("dist 41 312 -o {missing}", "{missing}"),
+    ("dist 41 312 -o {under_file}", "{under_file}"),
+    ("train --data {nope} --out {missing} --seed 1", "{missing}"),
+    ("cluster-tones {nope} --model {nope} --out-csv {missing}", "{missing}"),
+    ("dialect-cluster --corpus {corpus} --out-csv {missing}", "{missing}"),
+    ("dialect-mds --corpus {corpus} -o {under_file}", "{under_file}"),
+    ("transcribe {wav} --f0-csv {missing}", "{missing}"),
+    # unreadable or undecodable text inputs
+    ("dist --tokens-file {dir} -o {out}", "{dir}"),
+    ("dist --tokens-file {latin1} -o {out}", "{latin1}"),
+    ("dialect-mds --corpus {dir} -o {out}", "{dir}"),
+    ("dialect-cluster --corpus {latin1} --out-csv {out}", "{latin1}"),
+    ("dialect-cluster --corpus {corpus} --gold {dir} --out-csv {out}", "{dir}"),
+    ("train --data {dir} --out {out} --seed 1", "{dir}"),
+    ("train --data {latin1} --out {out} --seed 1", "{latin1}"),
+    ("cluster-tones --wav-list {dir} --model {nope} --out-csv {out}", "{dir}"),
+    ("cluster-tones --wav-list {latin1} --model {nope} --out-csv {out}", "{latin1}"),
+    ("cluster-tones {wav} --model {dir} --out-csv {out}", "{dir}"),
+    ("cluster-tones {wav} --model {latin1} --out-csv {out}", "{latin1}"),
+    # malformed model JSON; transcribe loads the model before writing its F0 CSV
+    *((f"cluster-tones {{wav}} --model {{{name}}} --out-csv {{out}}", f"{{{name}}}")
+      for name in BAD_MODELS),
+    ("transcribe {wav} --method model --model {top_list} --f0-csv {out}", "{top_list}"),
+]
+
+
+@pytest.mark.parametrize("argv,bad", BAD_INPUTS, ids=[a for a, _ in BAD_INPUTS])
+def test_bad_input_exits_2_naming_the_path(argv, bad, tmp_path, capsys, corpus_tsv, rise_wav):
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("x", encoding="utf-8")
+    (tmp_path / "latin1.txt").write_bytes(b"41\n\xe9t\xe9\n")
+    paths = {"missing": tmp_path / "no-such-dir" / "out.csv", "under_file": tmp_path / "afile" / "o",
+             "dir": tmp_path / "adir", "latin1": tmp_path / "latin1.txt",
+             "nope": tmp_path / "nope", "out": tmp_path / "out.csv",
+             "corpus": corpus_tsv[0], "wav": rise_wav}
+    for name, payload in BAD_MODELS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(payload), encoding="utf-8")
+    paths = {name: str(path) for name, path in paths.items()}
+    assert main([arg.format_map(paths) for arg in argv.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("tonelab: error: ")
+    assert bad.format_map(paths) in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_unknown_flag_fails(capsys):

@@ -336,21 +336,53 @@ def _signed_zero_matrix() -> DistanceMatrix:
     return DistanceMatrix(("a", "b", "c", "d"), v)
 
 
-@pytest.mark.parametrize("which", ["seeded-600", "database", "signed-zeros"])
+def _random_matrix(n: int, seed: int) -> DistanceMatrix:
+    upper = np.triu(np.random.default_rng(seed).uniform(0.0, 9.0, (n, n)), 1)
+    return DistanceMatrix(tuple(f"r{i}" for i in range(n)), upper + upper.T)
+
+
+# Rows equal bit for bit share one formatted string; rows that differ only in
+# the sign of a zero must not.
+_SIGNED_ZERO_ROWS = DistanceMatrix(("a", "b", "c"), np.array(
+    [[0.0, 0.0, 1.0], [-0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
+
+CSV_CASES = {
+    "seeded-600": lambda: build_distance_matrix(
+        [parse_transcription(ALL_TOKENS[i])
+         for i in np.random.default_rng(601).integers(0, 150, 600)]),
+    "database": tone_distance_database,
+    "signed-zeros": _signed_zero_matrix,
+    # "35" and "345" have coincident curves: equal rows under different labels
+    "repeated-rows": lambda: build_distance_matrix(
+        [parse_transcription(t) for t in ("35", "345", "41", "35", "312", "41")]),
+    "all-distinct": lambda: _random_matrix(9, 5),
+    "signed-zero-rows": lambda: _SIGNED_ZERO_ROWS,
+    "single": lambda: DistanceMatrix(("x",), np.zeros((1, 1))),
+}
+
+
+@pytest.mark.parametrize("which", CSV_CASES)
 def test_csv_byte_identical_to_per_entry_writer(which, tmp_path):
-    if which == "seeded-600":
-        ts = canonical_transcriptions()
-        m = build_distance_matrix(
-            [ts[i] for i in np.random.default_rng(601).integers(0, len(ts), 600)])
-    elif which == "database":
-        m = tone_distance_database()
-    else:
-        m = _signed_zero_matrix()
+    m = CSV_CASES[which]()
     path = tmp_path / "m.csv"
     assert m.to_csv(path) == reference_csv(m)
     assert path.read_bytes() == reference_csv(m).encode("utf-8")
     if which == "signed-zeros":
         assert "-0.000000" in m.to_csv()
+    if which == "signed-zero-rows":
+        assert m.to_csv().splitlines()[1:3] == ["a,0.000000,0.000000,1.000000",
+                                                "b,-0.000000,0.000000,1.000000"]
+
+
+def test_tone_distance_is_the_table_entry_and_never_negative_zero():
+    # the pure-Python pair evaluation against the vectorized table, by bits
+    ts = canonical_transcriptions()
+    table = tones._table()
+    for i, a in enumerate(ts):
+        for j, b in enumerate(ts):
+            d = tone_distance(a, b)
+            assert type(d) is float and d.hex() == float(table[i, j]).hex()
+            assert math.copysign(1.0, d) == 1.0
 
 
 # ---------------------------------------------------------------------------
