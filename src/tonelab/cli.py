@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import math
 import os
 import sys
@@ -19,10 +18,6 @@ from .errors import InputError, ToneLabError, naming
 
 # Subcommands import the modules they run inside their _cmd_* function, so a
 # launch loads only those, and --help and --version load no numpy.
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _checked(convert, accept, expected: str):
@@ -111,6 +106,7 @@ def _cmd_variance(args: argparse.Namespace) -> int:
 def _cmd_transcribe(args: argparse.Namespace) -> int:
     from . import learn
     from . import pitch as pitchmod
+    from . import tones
 
     if args.method == "model":  # a bad model fails before the F0 CSV is written
         if not args.model:
@@ -134,7 +130,7 @@ def _cmd_transcribe(args: argparse.Namespace) -> int:
             "transcription": result.token,
             "triple": [round(v, 6) for v in triple],
         }
-        sys.stdout.write(_json_text(payload))
+        sys.stdout.write(tones._json(payload))
     else:
         sys.stdout.write(result.token + "\n")
     return 0
@@ -163,6 +159,7 @@ def _read_training_manifest(path: str) -> list[tuple]:
 def _cmd_train(args: argparse.Namespace) -> int:
     from . import learn
     from . import pitch as pitchmod
+    from . import tones
 
     manifest = _read_training_manifest(args.data)
     f0_options = _f0_options(args)
@@ -189,7 +186,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "train_accuracy": round(hits / len(data), 6),
     }
-    sys.stdout.write(_json_text(summary))
+    sys.stdout.write(tones._json(summary))
     return 0
 
 
@@ -209,6 +206,7 @@ def _collect_wavs(args: argparse.Namespace) -> list[str]:
 def _cmd_cluster_tones(args: argparse.Namespace) -> int:
     from . import learn
     from . import pitch as pitchmod
+    from . import tones
 
     paths = _collect_wavs(args)
     model = learn.LinearToneModel.load(args.model)
@@ -228,7 +226,7 @@ def _cmd_cluster_tones(args: argparse.Namespace) -> int:
         "n_categories": result.n_categories,
         "noise": [names[i] for i in result.noise],
     }
-    sys.stdout.write(_json_text(payload))
+    sys.stdout.write(tones._json(payload))
     if args.out_csv:
         result.assignment.to_csv(names, args.out_csv)
     return 0
@@ -241,14 +239,12 @@ def _cmd_dialect_cluster(args: argparse.Namespace) -> int:
     corpus = dialectmod.load_corpus(args.corpus, args.gold)
     report = dialectmod.dialect_cluster_pipeline(corpus, metric=args.metric,
                                                  linkage=args.linkage)
-    sys.stdout.write(_json_text(report))
+    sys.stdout.write(tones._json(report))
     if args.out_csv:
-        linkage_names = sorted(report["linkages"])
-        lines = ["region," + ",".join(linkage_names)]
-        for region in corpus.region_ids:
-            row = [str(report["linkages"][name]["labels"][region]) for name in linkage_names]
-            lines.append(region + "," + ",".join(row))
-        tones._write_text("\n".join(lines) + "\n", args.out_csv)
+        names = sorted(report["linkages"])
+        labels = [report["linkages"][name]["labels"] for name in names]
+        rows = ((region, *(of[region] for of in labels)) for region in corpus.region_ids)
+        tones._csv(("region", *names), rows, args.out_csv)
     return 0
 
 
@@ -345,10 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_output_dirs(args: argparse.Namespace) -> None:
-    """Raise InputError before any work if an output path's directory is missing."""
+    """Raise InputError before any work if an output path is a directory or its parent is missing."""
     for name in ("out", "out_csv", "f0_csv"):  # every subcommand's output options
         path = getattr(args, name, None)
         parent = os.path.dirname(path or "") or "."
+        if path and os.path.isdir(path):
+            raise InputError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
         if path and not os.path.isdir(parent):
             reason = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
             raise InputError(f"cannot write {path}: {os.strerror(reason)}")

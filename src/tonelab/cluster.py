@@ -18,7 +18,6 @@ smallest (i, j) in row-major order. All routines are deterministic.
 """
 from __future__ import annotations
 
-import io
 import math
 import os
 from collections import deque
@@ -29,7 +28,7 @@ import numpy as np
 
 from ._defaults import LINKAGES
 from .errors import InputError
-from .tones import DistanceMatrix, _write_text
+from .tones import DistanceMatrix, _csv
 
 _SQUARED_LINKAGES = frozenset({"uc", "wc", "mv"})
 
@@ -50,12 +49,7 @@ class Dendrogram:
             )
 
     def to_csv(self, path: str | os.PathLike | None = None) -> str:
-        buf = io.StringIO()
-        buf.write("cluster_a,cluster_b,height,new_size\n")
-        for a, b, h, size in self.steps:
-            buf.write(f"{a},{b},{h:.6f},{size}\n")
-        text = buf.getvalue()
-        return text if path is None else _write_text(text, path)
+        return _csv(("cluster_a", "cluster_b", "height", "new_size"), self.steps, path)
 
 
 @dataclass(frozen=True)
@@ -73,12 +67,7 @@ class ClusterAssignment:
         names = list(items) if items is not None else [str(i) for i in range(len(self.labels))]
         if len(names) != len(self.labels):
             raise InputError("item name count does not match label count")
-        buf = io.StringIO()
-        buf.write("item,label\n")
-        for name, label in zip(names, self.labels):
-            buf.write(f"{name},{label}\n")
-        text = buf.getvalue()
-        return text if path is None else _write_text(text, path)
+        return _csv(("item", "label"), zip(names, self.labels), path)
 
 
 def _lance_williams_update(linkage: str, d_ik: np.ndarray, d_jk: np.ndarray, d_ij: float,
@@ -264,13 +253,8 @@ def mds_to_csv(labels: Sequence[str], coords: np.ndarray,
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     if coords.shape[0] != len(labels):
         raise InputError("coordinate row count does not match labels")
-    header = ["item", "x", "y"][: 1 + coords.shape[1]]
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for label, row in zip(labels, coords):
-        buf.write(label + "," + ",".join(f"{x:.6f}" for x in row) + "\n")
-    text = buf.getvalue()
-    return text if path is None else _write_text(text, path)
+    header = ("item", "x", "y")[: 1 + coords.shape[1]]
+    return _csv(header, ((label, *row) for label, row in zip(labels, coords.tolist())), path)
 
 
 def two_cluster_accuracy(pred: ClusterAssignment | Sequence[int],

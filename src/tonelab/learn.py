@@ -23,7 +23,7 @@ from . import cluster as clustering
 from . import pitch as pitchmod
 from ._defaults import DEFAULT_BETA
 from .errors import InputError, naming
-from .tones import Transcription, _reading, _write_text
+from .tones import Transcription, _json, _reading, _write_text
 
 PitchTriple = tuple[float, float, float]
 
@@ -142,7 +142,7 @@ class LinearToneModel:
             "bias": list(self.bias),
             "squash": {"offset": 1.0, "scale": 4.0},
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return _json(payload)
 
     def save(self, path: str | os.PathLike) -> None:
         _write_text(self.to_json(), path)
@@ -230,26 +230,21 @@ def train_tone_model(
     history = []
     best_loss = math.inf
     best = (weights.copy(), bias.copy())
-    for _ in range(epochs):
+    for epoch in range(epochs + 1):  # the last pass scores the final parameters
         s, z = forward(weights, bias)
         loss = float(np.abs(z - targets).sum())
         history.append(loss)
         if loss < best_loss:
             best_loss = loss
             best = (weights.copy(), bias.copy())
+        if epoch == epochs:
+            break
         # dL/du = sign(z - target) * 4 s (1 - s), summed over the batch
         g_u = np.sign(z - targets) * 4.0 * s * (1.0 - s)
         g_w = g_u.T @ x_mat + 2.0 * l2 * weights
         g_b = g_u.sum(axis=0)
         weights = weights - lr * g_w
         bias = bias - lr * g_b
-
-    _, z = forward(weights, bias)
-    final_loss = float(np.abs(z - targets).sum())
-    history.append(final_loss)
-    if final_loss < best_loss:
-        best_loss = final_loss
-        best = (weights, bias)
     return LinearToneModel(best[0], best[1], loss_history=tuple(history))
 
 

@@ -10,7 +10,6 @@ unvoiced and carry f0 = 0.
 """
 from __future__ import annotations
 
-import io
 import math
 import os
 import struct
@@ -22,7 +21,7 @@ import numpy as np
 from ._defaults import (DEFAULT_FEATURE_POINTS, DEFAULT_FRAME_MS, DEFAULT_HOP_MS,
                         DEFAULT_YIN_THRESHOLD, F0_CEIL_HZ, F0_FLOOR_HZ)
 from .errors import AudioError, InputError, VoicingError
-from .tones import _write_text
+from .tones import _csv
 
 _MIN_VOICED_FRAMES = 5
 
@@ -154,12 +153,7 @@ class F0Track:
         return int(np.count_nonzero(self.f0 > 0))
 
     def to_csv(self, path: str | os.PathLike | None = None) -> str:
-        buf = io.StringIO()
-        buf.write("time_s,f0_hz\n")
-        for t, f in zip(self.times, self.f0):
-            buf.write(f"{t:.6f},{f:.6f}\n")
-        text = buf.getvalue()
-        return text if path is None else _write_text(text, path)
+        return _csv(("time_s", "f0_hz"), zip(self.times.tolist(), self.f0.tolist()), path)
 
 
 def _frame_matrix(x: np.ndarray, frame: int, hop: int) -> np.ndarray:

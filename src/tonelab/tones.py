@@ -12,13 +12,14 @@ import contextlib
 import csv
 import io
 import itertools
+import json
 import math
 import os
 import struct
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, TranscriptionError
 
@@ -44,6 +45,27 @@ def _write_text(text: str, path: str | os.PathLike | None) -> str:
             raise
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
     return text
+
+
+def _csv(header: Sequence[str], rows: Iterable[Sequence],
+         path: str | os.PathLike | None = None) -> str:
+    """The package's one CSV format: a header row, then one line per row, cells
+    joined by commas, each line ended by a newline. A float cell (numpy's float64
+    included) is written with 6 decimals, any other cell with str(), so a str cell
+    may carry columns already joined. Returns the text, also written to path if given."""
+    # One flat list and one join: joining each row first would hold a second copy.
+    parts: list[str] = []
+    for row in itertools.chain((header,), rows):
+        for cell in row:
+            parts += (f"{cell:.6f}" if isinstance(cell, float) else str(cell), ",")
+        parts[-1] = "\n"
+    text = "".join(parts)
+    return text if path is None else _write_text(text, path)
+
+
+def _json(obj) -> str:
+    """The package's one JSON format: sorted keys, 2-space indent, final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 @contextlib.contextmanager
@@ -320,11 +342,7 @@ class DistanceMatrix:
         row_of = [first.setdefault(row.tobytes(), i) for i, row in enumerate(bits)]
         text_of = _SixDecimals()
         body = {i: ",".join(map(text_of.__getitem__, bits[i].tolist())) for i in first.values()}
-        parts = ["label,", ",".join(self.labels), "\n"]
-        for label, i in zip(self.labels, row_of):
-            parts += (label, ",", body[i], "\n")
-        text = "".join(parts)
-        return text if path is None else _write_text(text, path)
+        return _csv(("label", *self.labels), zip(self.labels, map(body.get, row_of)), path)
 
 
 def build_distance_matrix(ls: Sequence[Transcription]) -> DistanceMatrix:

@@ -4,6 +4,7 @@ PASS/FAIL line (run with `pytest tests/test_acceptance.py -v -s`).
 Tolerances and time budgets are pinned here; loosening them is not an
 acceptable way to make a criterion pass.
 """
+import json
 import subprocess
 import sys
 import time
@@ -282,6 +283,10 @@ def _run_cli(args, cwd):
     return proc.stdout
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_11_cli_determinism(tmp_path):
     with criterion(11, "every CLI subcommand is byte-identical across repeated "
                        "runs with a fixed seed"):
@@ -324,8 +329,11 @@ def test_11_cli_determinism(tmp_path):
               "--linkage", "all", "--out-csv", "regions.csv"], ["regions.csv"]),
             (["dialect-mds", "--corpus", "corpus.tsv", "-o", "mds.csv"], ["mds.csv"]),
         ]
+        json_stdout = {"transcribe", "train", "cluster-tones", "dialect-cluster"}
         for args, outputs in invocations:
             first_stdout = _run_cli(args, tmp_path)
+            if args[0] in json_stdout:  # strict JSON: NaN and Infinity are refused
+                json.loads(first_stdout, parse_constant=_reject_constant)
             first_files = {f: (tmp_path / f).read_bytes() for f in outputs}
             second_stdout = _run_cli(args, tmp_path)
             second_files = {f: (tmp_path / f).read_bytes() for f in outputs}

@@ -496,6 +496,11 @@ BAD_INPUTS = [
     ("dialect-cluster --corpus {corpus} --out-csv {missing}", "{missing}"),
     ("dialect-mds --corpus {corpus} -o {under_file}", "{under_file}"),
     ("transcribe {wav} --f0-csv {missing}", "{missing}"),
+    # an output path that is a directory is refused before any work too
+    ("dialect-cluster --corpus {corpus} --out-csv {dir}", "{dir}"),
+    ("cluster-tones {nope} --model {nope} --out-csv {dir}", "{dir}"),
+    ("train --data {nope} --out {dir} --seed 1", "{dir}"),
+    ("dist --matrix -o {dir}", "{dir}"),
     # unreadable or undecodable text inputs
     ("dist --tokens-file {dir} -o {out}", "{dir}"),
     ("dist --tokens-file {latin1} -o {out}", "{latin1}"),

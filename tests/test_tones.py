@@ -1,3 +1,5 @@
+import io
+import json
 import math
 import tracemalloc
 
@@ -372,6 +374,144 @@ def test_csv_byte_identical_to_per_entry_writer(which, tmp_path):
     if which == "signed-zero-rows":
         assert m.to_csv().splitlines()[1:3] == ["a,0.000000,0.000000,1.000000",
                                                 "b,-0.000000,0.000000,1.000000"]
+
+
+# Frozen copies of the hand-built writers that tones._csv and tones._json replaced.
+def _old_matrix_csv(m: DistanceMatrix) -> str:
+    bits = m.values.view(np.uint64)
+    first: dict[bytes, int] = {}
+    row_of = [first.setdefault(row.tobytes(), i) for i, row in enumerate(bits)]
+    text_of = tones._SixDecimals()
+    body = {i: ",".join(map(text_of.__getitem__, bits[i].tolist())) for i in first.values()}
+    parts = ["label,", ",".join(m.labels), "\n"]
+    for label, i in zip(m.labels, row_of):
+        parts += (label, ",", body[i], "\n")
+    return "".join(parts)
+
+
+def _old_dendrogram_csv(dg) -> str:
+    buf = io.StringIO()
+    buf.write("cluster_a,cluster_b,height,new_size\n")
+    for a, b, h, size in dg.steps:
+        buf.write(f"{a},{b},{h:.6f},{size}\n")
+    return buf.getvalue()
+
+
+def _old_assignment_csv(assignment, items=None) -> str:
+    names = list(items) if items is not None else [str(i) for i in range(len(assignment.labels))]
+    buf = io.StringIO()
+    buf.write("item,label\n")
+    for name, label in zip(names, assignment.labels):
+        buf.write(f"{name},{label}\n")
+    return buf.getvalue()
+
+
+def _old_f0_csv(track) -> str:
+    buf = io.StringIO()
+    buf.write("time_s,f0_hz\n")
+    for t, f in zip(track.times, track.f0):
+        buf.write(f"{t:.6f},{f:.6f}\n")
+    return buf.getvalue()
+
+
+def _old_mds_csv(labels, coords) -> str:
+    coords = np.atleast_2d(np.asarray(coords, dtype=float))
+    header = ["item", "x", "y"][: 1 + coords.shape[1]]
+    buf = io.StringIO()
+    buf.write(",".join(header) + "\n")
+    for label, row in zip(labels, coords):
+        buf.write(label + "," + ",".join(f"{x:.6f}" for x in row) + "\n")
+    return buf.getvalue()
+
+
+def _old_region_csv(report, region_ids) -> str:
+    linkage_names = sorted(report["linkages"])
+    lines = ["region," + ",".join(linkage_names)]
+    for region in region_ids:
+        row = [str(report["linkages"][name]["labels"][region]) for name in linkage_names]
+        lines.append(region + "," + ",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _old_model_json(model) -> str:
+    payload = {
+        "format": "tonelab-linear-tone-model", "version": 1, "n_features": model.n_features,
+        "weights": [list(row) for row in model.weights], "bias": list(model.bias),
+        "squash": {"offset": 1.0, "scale": 4.0},
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _writer_cases():
+    """(name, new writer's text, frozen writer's text) on seeded and edge inputs."""
+    from tonelab import cluster, learn, pitch
+    from .synth import tone_clip
+
+    rng = np.random.default_rng(13)
+    matrices = [_random_matrix(n, seed) for n, seed in ((2, 1), (7, 2), (23, 3))]
+    matrices += [_signed_zero_matrix(), _SIGNED_ZERO_ROWS, CSV_CASES["single"]()]
+    for m in matrices:
+        yield f"matrix-{len(m)}", m.to_csv(), _old_matrix_csv(m)
+        for linkage in cluster.LINKAGES if len(m) > 1 else ():
+            dg = cluster.hierarchical_cluster(m, linkage)
+            yield f"dendrogram-{linkage}-{len(m)}", dg.to_csv(), _old_dendrogram_csv(dg)
+        for dims in (1, 2)[: len(m) - 1]:
+            coords = cluster.classical_mds(m, dims)
+            yield (f"mds-{dims}-{len(m)}", cluster.mds_to_csv(m.labels, coords),
+                   _old_mds_csv(m.labels, coords))
+    # -0.0 heights, one step, Python and numpy float64 heights
+    for h in (-0.0, 0.0, 1.5, np.float64(-0.0), np.float64(2.0000005)):
+        dg = cluster.Dendrogram(2, ((0, 1, h, 2),))
+        yield f"dendrogram-one-{h!r}", dg.to_csv(), _old_dendrogram_csv(dg)
+    for coords in ([[-0.0]], [[1.25, -0.0]], np.array([[-0.0, 3.0000005]])):
+        yield (f"mds-one-{coords!r}", cluster.mds_to_csv(["r"], coords),
+               _old_mds_csv(["r"], coords))
+
+    points = rng.normal(size=(60, 3))
+    for assignment in (cluster.dbscan(points, 0.5, 4), cluster.dbscan(points, 0.01, 4),
+                       cluster.ClusterAssignment((cluster.NOISE,)),
+                       cluster.ClusterAssignment((0,))):
+        names = [f"clip{i}.wav" for i in range(len(assignment.labels))]
+        yield "assignment", assignment.to_csv(), _old_assignment_csv(assignment)
+        yield ("assignment-named", assignment.to_csv(names),
+               _old_assignment_csv(assignment, names))
+
+    tracks = [pitch.extract_f0(tone_clip(tok, base_hz=rng.uniform(150, 230), rng=rng))
+              for tok in ("35", "214", "51")]
+    tracks += [pitch.F0Track(np.array([-0.0]), np.array([-0.0]), 0.01),
+               pitch.F0Track([0.005, 0.015], [0.0, 123.4567895], 0.01)]
+    for track in tracks:
+        yield f"f0-{len(track.times)}", track.to_csv(), _old_f0_csv(track)
+
+    models = [learn.LinearToneModel(np.array([[-0.0, 1.0], [2.5, -3.0], [1e-7, 0.1]]),
+                                    np.array([0.0, -0.0, 1.0]))]
+    for seed in range(3):
+        data = [(rng.normal(size=5), parse_transcription(ALL_TOKENS[int(i)]))
+                for i in rng.integers(0, 150, 12)]
+        models.append(learn.train_tone_model(data, epochs=20, seed=seed))
+    for model in models:
+        yield "model-json", model.to_json(), _old_model_json(model)
+
+
+def test_writers_byte_identical_to_frozen_writers(tmp_path, capsys):
+    for name, new, old in _writer_cases():
+        assert new == old, name
+
+    # the region-label CSV of dialect-cluster, on a seeded corpus
+    from tonelab.cli import main
+    from tonelab.dialect import load_corpus
+
+    rng = np.random.default_rng(29)
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("region\tword_id\ttranscription\n" + "".join(
+        f"r{r}\tw{w}\t{ALL_TOKENS[int(rng.integers(0, 150))]}\n"
+        for r in range(11) for w in range(6)), encoding="utf-8")
+    out = tmp_path / "regions.csv"
+    assert main(["dialect-cluster", "--corpus", str(corpus), "--linkage", "all",
+                 "--out-csv", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    expected = _old_region_csv(report, load_corpus(corpus).region_ids)
+    assert out.read_bytes() == expected.encode("utf-8")
 
 
 def test_tone_distance_is_the_table_entry_and_never_negative_zero():
