@@ -243,7 +243,8 @@ def _cmd_dialect_cluster(args: argparse.Namespace) -> int:
     if args.out_csv:
         names = sorted(report["linkages"])
         labels = [report["linkages"][name]["labels"] for name in names]
-        rows = ((region, *(of[region] for of in labels)) for region in corpus.region_ids)
+        rows = ((tones._quoted(region), *(of[region] for of in labels))
+                for region in corpus.region_ids)
         tones._csv(("region", *names), rows, args.out_csv)
     return 0
 

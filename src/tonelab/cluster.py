@@ -28,7 +28,7 @@ import numpy as np
 
 from ._defaults import LINKAGES
 from .errors import InputError
-from .tones import DistanceMatrix, _csv
+from .tones import DistanceMatrix, _csv, _quoted
 
 _SQUARED_LINKAGES = frozenset({"uc", "wc", "mv"})
 
@@ -67,7 +67,7 @@ class ClusterAssignment:
         names = list(items) if items is not None else [str(i) for i in range(len(self.labels))]
         if len(names) != len(self.labels):
             raise InputError("item name count does not match label count")
-        return _csv(("item", "label"), zip(names, self.labels), path)
+        return _csv(("item", "label"), zip(map(_quoted, names), self.labels), path)
 
 
 def _lance_williams_update(linkage: str, d_ik: np.ndarray, d_jk: np.ndarray, d_ij: float,
@@ -108,33 +108,72 @@ def hierarchical_cluster(d: DistanceMatrix, linkage: str) -> Dendrogram:
         raise InputError("hierarchical clustering needs at least 2 items")
 
     squared = linkage in _SQUARED_LINKAGES
-    # Rows/columns 0..m-1 of `work` are the active clusters in ascending id order; a
-    # merge drops its two and appends the new cluster, whose id is the largest.
+    # Müllner's generic algorithm (arXiv:1109.2378) with a nearest-neighbour cache.
+    # `work` keeps fixed slots: cluster id c lives in slot[c], and a merge reuses the
+    # slot of its smaller id. Arrays indexed by id are in id order; a new cluster's
+    # id is the largest so far, and dead ids hold an inf cache. For a current id c,
+    # cache[c] is the least work[slot[c], slot[k]] over active ids k > c and nbr[c]
+    # the first such k. A stale id lost its neighbour to a merge: its cache is then
+    # only a lower bound, and it is rescanned when it comes first.
     work = _squared(d) if squared else d.values.copy()
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    ids = np.arange(n)
-    sizes = np.ones(n, dtype=np.int64)
+    slot = np.arange(2 * n - 1)
+    sizes = np.ones(n, dtype=np.int64)  # by slot
+    alive = np.zeros(2 * n - 1, dtype=bool)
+    alive[:n] = True
+    stale = np.zeros(2 * n - 1, dtype=bool)
+    cache = np.full(2 * n - 1, np.inf)
+    nbr = np.zeros(2 * n - 1, dtype=np.intp)
+    _rescan(work, np.arange(n), np.arange(n), slot, cache, nbr)
 
     steps = []
     for step in range(n - 1):
-        m = n - step
-        # Row-major first minimum of the strict upper triangle: smallest (i, j) of a tie.
-        i, j = divmod(int(np.argmin(np.where(upper[:m, :m], work[:m, :m], np.inf))), m)
-        rest = np.r_[0:i, i + 1:j, j + 1:m]
-        d_ij = float(work[i, j])
-        n_i, n_j = int(sizes[i]), int(sizes[j])
-        upd = _lance_williams_update(linkage, work[i, rest], work[j, rest], d_ij,
-                                     n_i, n_j, sizes[rest])
+        new = n + step
+        # The first least cache in id order, once it is current, is the row-major
+        # first minimum over the active pairs (i, j), i < j: every cache is at most
+        # its row's minimum, so no smaller (i, j) can tie it.
+        i = int(cache[:new].argmin())
+        while stale[i]:
+            stale[i] = False
+            _rescan(work, np.array([i]), alive[:new].nonzero()[0], slot, cache, nbr)
+            i = int(cache[:new].argmin())
+        j = int(nbr[i])
+        si, sj = int(slot[i]), int(slot[j])
+        d_ij = float(work[si, sj])
+        n_i, n_j = int(sizes[si]), int(sizes[sj])
+        alive[i] = alive[j] = False
+        rest = alive[:new].nonzero()[0]
+        rs = slot[rest]
+        upd = _lance_williams_update(linkage, work[si, rs], work[sj, rs], d_ij,
+                                     n_i, n_j, sizes[rs])
         height = math.sqrt(max(d_ij, 0.0)) if squared else d_ij
-        steps.append((int(ids[i]), int(ids[j]), height, n_i + n_j))
-        for p, size in ((j, m), (i, m - 1)):  # drop row and column p, j first
-            work[p : size - 1, :size] = work[p + 1 : size, :size]
-            work[: size - 1, p : size - 1] = work[: size - 1, p + 1 : size]
-            ids[p : size - 1] = ids[p + 1 : size]
-            sizes[p : size - 1] = sizes[p + 1 : size]
-        work[m - 2, : m - 2] = work[: m - 2, m - 2] = upd
-        ids[m - 2], sizes[m - 2] = n + step, n_i + n_j
+        steps.append((i, j, height, n_i + n_j))
+        work[si, rs] = work[rs, si] = upd
+        sizes[si] = n_i + n_j
+        slot[new] = si
+        alive[new] = True
+        cache[i] = cache[j] = np.inf
+        # Every row gains the new cluster as its last candidate. Only a strictly
+        # smaller entry replaces a cache, and it is then the row's unique minimum,
+        # so even a stale row becomes current.
+        old = nbr[rest]
+        stale[rest[(old == i) | (old == j)]] = True
+        take = upd < cache[rest]
+        closer = rest[take]
+        cache[closer] = upd[take]
+        nbr[closer] = new
+        stale[closer] = False
     return Dendrogram(n, tuple(steps))
+
+
+def _rescan(work: np.ndarray, rows: np.ndarray, active: np.ndarray, slot: np.ndarray,
+            cache: np.ndarray, nbr: np.ndarray) -> None:
+    """Recompute cache and nbr of the ids in rows over the active ids after each,
+    as one len(rows) x len(active) block; both id arrays are ascending."""
+    block = work[slot[rows][:, None], slot[active]]
+    block[active <= rows[:, None]] = np.inf
+    first = block.argmin(axis=1)
+    cache[rows] = block[np.arange(len(rows)), first]
+    nbr[rows] = active[first]
 
 
 def cut_tree(dg: Dendrogram, k: int) -> ClusterAssignment:
@@ -253,8 +292,11 @@ def mds_to_csv(labels: Sequence[str], coords: np.ndarray,
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     if coords.shape[0] != len(labels):
         raise InputError("coordinate row count does not match labels")
+    if coords.shape[1] > 2:
+        raise InputError(f"MDS CSV holds at most 2 coordinate columns, got {coords.shape[1]}")
     header = ("item", "x", "y")[: 1 + coords.shape[1]]
-    return _csv(header, ((label, *row) for label, row in zip(labels, coords.tolist())), path)
+    return _csv(header, ((_quoted(label), *row) for label, row in zip(labels, coords.tolist())),
+                path)
 
 
 def two_cluster_accuracy(pred: ClusterAssignment | Sequence[int],

@@ -1,6 +1,7 @@
 """Corpus ingestion and the cross-dialect analysis pipelines."""
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -65,13 +66,16 @@ def load_corpus(path: str | os.PathLike,
     for lineno, row in enumerate(rows, start=2):
         if len(row) != 3:
             raise CorpusError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-        region, word_id, token = (cell.strip() for cell in row)
+        region, word_id, token = row
+        region, word_id, token = region.strip(), word_id.strip(), token.strip()
         if not region or not word_id:
             raise CorpusError(f"{path}:{lineno}: empty region or word_id")
-        try:
-            t = parse_transcription(token)
-        except InputError as exc:
-            raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+        t = tones._INTERNED.get(token)
+        if t is None:  # "(35)" or an invalid token
+            try:
+                t = parse_transcription(token)
+            except InputError as exc:
+                raise CorpusError(f"{path}:{lineno}: {exc}") from exc
         entries = lexicons.setdefault(region, {})
         if word_id in entries:
             raise CorpusError(f"{path}:{lineno}: duplicate entry ({region}, {word_id})")
@@ -104,43 +108,63 @@ def _metric_table(metric: str) -> np.ndarray:
     raise InputError(f"unknown metric {metric!r}; choose one of {METRICS}")
 
 
+_digits = operator.attrgetter("digits")
+_MISSING = 150  # the code of an unattested word: row and column 150 of the padded table
+_REGION_BLOCK = 64  # regions per accumulator block in _pairwise
+
+
 def _pairwise(regions: Sequence[RegionLexicon], metric: str) -> tuple[np.ndarray, list[str]]:
     """Mean distance over shared word ids for every region pair, plus warnings.
 
-    Each region becomes a row of canonical codes over the sorted union of word
-    ids (-1 where the word is missing). Shared words are added left to right
-    in sorted word-id order and non-shared ones add an exact 0.0, so each
-    entry equals the plain sum of its pair's distances divided by their count.
+    The corpus becomes a word-major array of canonical codes, one row per word
+    id in sorted order and one column per region (_MISSING where the word is
+    not attested). The metric's table is padded with a zero row and column for
+    that code. For each block of _REGION_BLOCK regions, the distances of every
+    word are added into one accumulator, word by word from +0.0, so each pair
+    adds its shared words left to right in sorted word-id order and every other
+    word adds an exact 0.0: each entry is the plain sum of its pair's distances
+    divided by their count.
     """
-    table = _metric_table(metric)
+    padded = np.zeros((_MISSING + 1, _MISSING + 1))
+    padded[:_MISSING, :_MISSING] = _metric_table(metric)
     words = sorted(set().union(*(r.entries for r in regions)))
-    column = {w: k for k, w in enumerate(words)}
+    row_of = {w: k for k, w in enumerate(words)}
     n = len(regions)
-    codes = np.full((n, len(words)), -1, dtype=np.intp)
-    for row, region in enumerate(regions):
-        codes[row, [column[w] for w in region.entries]] = [
-            tones._code(t) for t in region.entries.values()]
-    present = codes >= 0
-    sizes = present.sum(axis=1)
-    values = np.zeros((n, n))
-    warnings = []
-    for i in range(n - 1):
-        shared = present[i] & present[i + 1:]
-        counts = shared.sum(axis=1)
-        if not counts.all():
-            j = i + 1 + int(np.argmin(counts))
-            raise CorpusError(
-                f"regions {regions[i].region_id!r} and {regions[j].region_id!r} "
-                "share no word ids"
-            )
-        pair = np.where(shared, table[codes[i], codes[i + 1:]], 0.0)
-        row = pair.cumsum(axis=1)[:, -1] / counts
-        values[i, i + 1:] = row
-        values[i + 1:, i] = row
-        skipped = sizes[i] + sizes[i + 1:] - 2 * counts
-        for j in np.flatnonzero(skipped):
-            warnings.append(f"{regions[i].region_id}/{regions[i + 1 + j].region_id}: "
-                            f"skipped {skipped[j]} unshared word(s)")
+    word_rows: list[int] = []
+    region_cols: list[int] = []
+    code_of: list[int] = []
+    for col, region in enumerate(regions):
+        word_rows += map(row_of.__getitem__, region.entries)
+        code_of += map(tones._CODES.__getitem__, map(_digits, region.entries.values()))
+        region_cols += [col] * len(region.entries)
+    codes = np.full((len(words), n), _MISSING, dtype=np.intp)
+    codes[word_rows, region_cols] = code_of
+    # Shared words of each pair. The product runs in float64, because numpy has no
+    # BLAS path for int64; every partial sum is an integer below 2**53, so the
+    # counts are exact.
+    present = (codes != _MISSING).astype(float)
+    counts = (present.T @ present).astype(np.int64)
+    first = np.flatnonzero(np.triu(counts == 0, 1))  # row-major order
+    if len(first):
+        i, j = divmod(int(first[0]), n)
+        raise CorpusError(f"regions {regions[i].region_id!r} and {regions[j].region_id!r} "
+                          "share no word ids")
+
+    sums = np.zeros((n, n))
+    for lo in range(0, n, _REGION_BLOCK):
+        hi = min(lo + _REGION_BLOCK, n)
+        acc = sums[lo:hi, lo:]
+        for c in codes:
+            acc += padded[c[lo:hi]].take(c[lo:], axis=1)
+    values = np.triu(sums / counts, 1)
+    values += values.T  # x + 0.0 == x: the mirror copies each entry exactly
+
+    sizes = np.diag(counts)
+    skipped = sizes[:, None] + sizes - 2 * counts
+    ids = [r.region_id for r in regions]
+    rows, cols = np.nonzero(np.triu(skipped, 1))  # row-major (i, j) order
+    warnings = [f"{ids[i]}/{ids[j]}: skipped {k} unshared word(s)"
+                for i, j, k in zip(rows.tolist(), cols.tolist(), skipped[rows, cols].tolist())]
     return values, warnings
 
 

@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import os
+import re
 import struct
 import sys
 from dataclasses import dataclass
@@ -63,6 +64,16 @@ def _csv(header: Sequence[str], rows: Iterable[Sequence],
     return text if path is None else _write_text(text, path)
 
 
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
+def _quoted(name) -> str:
+    """A name cell per RFC 4180: str(name), double-quoted with its quotes doubled
+    when it holds a comma, a double quote or a line break, unchanged otherwise."""
+    text = str(name)
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text
+
+
 def _json(obj) -> str:
     """The package's one JSON format: sorted keys, 2-space indent, final newline."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
@@ -84,18 +95,25 @@ def _reading(path: str | os.PathLike, what: str = "file",
 
 
 def _read_tsv(path: str | os.PathLike, header: tuple[str, ...], what: str = "file",
-              error: type[InputError] = InputError) -> list[list[str]]:
-    """The data rows of a user's tab-separated file, after checking its header."""
+              error: type[InputError] = InputError) -> Iterator[list[str]]:
+    """Yield the data rows of a user's tab-separated file, after checking its header.
+
+    Rows are read as they are yielded, so the file stays open until the caller
+    has taken the last one, and a later row's decoding error comes after the
+    caller's errors for earlier rows."""
     with _reading(path, what, error) as fh:
-        rows = list(csv.reader(fh, delimiter="\t"))
-    if not rows:
-        raise error(f"empty {what}: {path}")
-    found = [cell.strip() for cell in rows[0]]
-    if tuple(found) != header:
-        raise error(f"{path}: expected header {list(header)}, got {found}")
-    if len(rows) == 1:
-        raise error(f"{path}: no data rows")
-    return rows[1:]
+        rows = csv.reader(fh, delimiter="\t")
+        first = next(rows, None)
+        if first is None:
+            raise error(f"empty {what}: {path}")
+        found = [cell.strip() for cell in first]
+        if tuple(found) != header:
+            raise error(f"{path}: expected header {list(header)}, got {found}")
+        row = next(rows, None)
+        if row is None:
+            raise error(f"{path}: no data rows")
+        yield row
+        yield from rows
 
 
 def _nonempty_lines(path: str | os.PathLike, what: str) -> list[tuple[int, str]]:
@@ -342,7 +360,8 @@ class DistanceMatrix:
         row_of = [first.setdefault(row.tobytes(), i) for i, row in enumerate(bits)]
         text_of = _SixDecimals()
         body = {i: ",".join(map(text_of.__getitem__, bits[i].tolist())) for i in first.values()}
-        return _csv(("label", *self.labels), zip(self.labels, map(body.get, row_of)), path)
+        names = list(map(_quoted, self.labels))
+        return _csv(("label", *names), zip(names, map(body.get, row_of)), path)
 
 
 def build_distance_matrix(ls: Sequence[Transcription]) -> DistanceMatrix:
@@ -365,6 +384,7 @@ def canonical_transcriptions() -> list[Transcription]:
 
 
 _INTERNED = {t.token: t for t in canonical_transcriptions()}
+_CODES = {t.digits: _code(t) for t in _INTERNED.values()}  # digits -> canonical code
 
 
 @lru_cache(maxsize=1)

@@ -364,6 +364,30 @@ def test_dialect_cluster_report(tmp_path, capsys, corpus_tsv):
     assert len(lines) == 7
 
 
+def test_dialect_outputs_quote_region_names_with_commas(tmp_path, capsys):
+    import csv
+
+    corpus = tmp_path / "corpus.tsv"
+    layout = {"a, b": ["55", "35"], "c": ["55", "35"], 'say "d"': ["11", "53"],
+              "e": ["11", "52"]}
+    corpus.write_text("region\tword_id\ttranscription\n" + "".join(
+        f"{region}\tw{i}\t{tok}\n" for region, toks in layout.items()
+        for i, tok in enumerate(toks)), encoding="utf-8")
+    out_csv = tmp_path / "labels.csv"
+    assert main(["dialect-cluster", "--corpus", str(corpus), "--linkage", "mv",
+                 "--out-csv", str(out_csv)]) == 0
+    assert json.loads(capsys.readouterr().out)["linkages"]["mv"]["labels"]["a, b"] == 0
+    assert out_csv.read_text().splitlines() == \
+        ["region,mv", '"a, b",0', "c,0", '"say ""d""",1', "e,1"]
+    with open(out_csv, newline="") as fh:
+        assert [row[0] for row in csv.reader(fh)] == ["region", *layout]
+
+    assert main(["dialect-mds", "--corpus", str(corpus), "--dims", "2"]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert [row[0] for row in rows] == ["item", *layout]
+    assert all(len(row) == 3 for row in rows)
+
+
 def test_dialect_cluster_all_linkages(capsys, corpus_tsv):
     corpus, gold = corpus_tsv
     assert main(["dialect-cluster", "--corpus", corpus, "--gold", gold,

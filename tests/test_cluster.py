@@ -348,6 +348,67 @@ def test_linkage_bit_identical_on_categorical_survey_matrix():
             _exact(scalar_linkage_steps(dm, linkage)), linkage
 
 
+def compacted_linkage_steps(dm, linkage):
+    """Frozen copy of the compacted-matrix loop the nearest-neighbour cache replaced:
+    one masked argmin over all active pairs per merge, then row and column shifts."""
+    from tonelab.cluster import _lance_williams_update, _squared
+
+    n = len(dm)
+    squared = linkage in ("uc", "wc", "mv")
+    work = _squared(dm) if squared else dm.values.copy()
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    ids = np.arange(n)
+    sizes = np.ones(n, dtype=np.int64)
+    steps = []
+    for step in range(n - 1):
+        m = n - step
+        i, j = divmod(int(np.argmin(np.where(upper[:m, :m], work[:m, :m], np.inf))), m)
+        rest = np.r_[0:i, i + 1:j, j + 1:m]
+        d_ij = float(work[i, j])
+        n_i, n_j = int(sizes[i]), int(sizes[j])
+        upd = _lance_williams_update(linkage, work[i, rest], work[j, rest], d_ij,
+                                     n_i, n_j, sizes[rest])
+        height = math.sqrt(max(d_ij, 0.0)) if squared else d_ij
+        steps.append((int(ids[i]), int(ids[j]), height, n_i + n_j))
+        for p, size in ((j, m), (i, m - 1)):
+            work[p : size - 1, :size] = work[p + 1 : size, :size]
+            work[: size - 1, p : size - 1] = work[: size - 1, p + 1 : size]
+            ids[p : size - 1] = ids[p + 1 : size]
+            sizes[p : size - 1] = sizes[p + 1 : size]
+        work[m - 2, : m - 2] = work[: m - 2, m - 2] = upd
+        ids[m - 2], sizes[m - 2] = n + step, n_i + n_j
+    return tuple(steps)
+
+
+def _normal_points_matrix(n, seed):
+    p = np.random.default_rng(seed).normal(size=(n, 5))
+    r = p[:, None, :] - p[None, :, :]
+    v = np.sqrt((r * r).sum(axis=2))
+    np.fill_diagonal(v, 0.0)
+    return DistanceMatrix(tuple(str(i) for i in range(n)), v)
+
+
+@pytest.mark.parametrize("kind", ["normal-5d", "int0-2"])
+def test_linkage_bit_identical_to_compacted_loop_at_400(kind):
+    # n = 400 is too slow for the scalar loop; the compacted loop is the oracle here
+    if kind == "normal-5d":
+        dm = _normal_points_matrix(400, 14)
+    else:
+        dm = _seeded_matrix(np.random.default_rng(400), 400, "int0-2", False)
+    for linkage in LINKAGES:
+        assert _exact(hierarchical_cluster(dm, linkage).steps) == \
+            _exact(compacted_linkage_steps(dm, linkage)), linkage
+
+
+def test_compacted_oracle_matches_scalar_loop():
+    rng = np.random.default_rng(41)
+    for kind in ("uniform", "int0-2"):
+        dm = _seeded_matrix(rng, 30, kind, True)
+        for linkage in LINKAGES:
+            assert _exact(compacted_linkage_steps(dm, linkage)) == \
+                _exact(scalar_linkage_steps(dm, linkage)), (kind, linkage)
+
+
 def test_sl_cl_signed_zeros_and_equal_values():
     # -0.0 passes DistanceMatrix validation; min/max of equal operands must
     # return the same operand (and so the same sign) as the scalar loop
@@ -688,3 +749,29 @@ def test_csv_exports_write_files(tmp_path):
         ClusterAssignment((0, 1)).to_csv(["only-one"])
     with pytest.raises(InputError):
         mds_to_csv(["a"], np.array([[1.0], [2.0]]))
+
+
+def test_mds_csv_rejects_more_than_two_coordinate_columns():
+    from tonelab.cluster import mds_to_csv
+
+    with pytest.raises(InputError, match="at most 2 coordinate columns, got 3"):
+        mds_to_csv(["a"], [[1.0, 2.0, 3.0]])
+    assert mds_to_csv(["a"], [[1.0, 2.0]]) == "item,x,y\na,1.000000,2.000000\n"
+
+
+def test_csv_name_cells_are_quoted_per_rfc_4180():
+    import csv
+    import io
+
+    from tonelab.cluster import mds_to_csv
+
+    names = ["x,y.wav", "a, b", 'say "hi"', "two\nlines", "plain.wav"]
+    text = ClusterAssignment((0, 1, 0, 1, NOISE)).to_csv(names)
+    assert text.splitlines()[1:3] == ['"x,y.wav",0', '"a, b",1']
+    assert text.endswith("plain.wav,-1\n")
+    assert list(csv.reader(io.StringIO(text)))[1:] == \
+        [[name, label] for name, label in zip(names, ["0", "1", "0", "1", "-1"])]
+
+    text = mds_to_csv(["a, b", "c"], np.array([[1.0, -0.5], [0.0, 2.0]]))
+    assert text == 'item,x,y\n"a, b",1.000000,-0.500000\nc,0.000000,2.000000\n'
+    assert list(csv.reader(io.StringIO(text)))[1][0] == "a, b"

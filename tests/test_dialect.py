@@ -110,6 +110,27 @@ def test_load_corpus_empty_file(tmp_path):
         load_corpus(path)
 
 
+def test_load_corpus_row_errors_name_their_line(tmp_path):
+    path = write_corpus(tmp_path, ["X\tw1\t(35)", " Y \t w1 \t 214 "])
+    corpus = load_corpus(path)
+    assert corpus.region_ids == ("X", "Y")
+    assert corpus.regions[0].entries["w1"] is parse_transcription("35")
+    assert corpus.regions[1].entries["w1"] is parse_transcription("214")
+    cases = [
+        (["X\tw1\t35", "X\tw2"], ":3: expected 3 columns, got 2"),
+        (["X\tw1\t35", "X\tw2\t35\textra"], ":3: expected 3 columns, got 4"),
+        (["X\tw1\t35", " \tw2\t35"], ":3: empty region or word_id"),
+        (["X\t\t35"], ":2: empty region or word_id"),
+        (["X\tw1\t35", "X\tw2\t(61)"], ":3: invalid transcription token '(61)'"),
+        (["X\tw1\t35", "X\tw1\t(35)"], ":3: duplicate entry (X, w1)"),
+    ]
+    for rows, message in cases:
+        path = write_corpus(tmp_path, rows)
+        with pytest.raises(CorpusError) as got:
+            load_corpus(path)
+        assert str(got.value).startswith(f"{path}{message}"), (rows, str(got.value))
+
+
 def test_load_corpus_missing_file(tmp_path):
     with pytest.raises(CorpusError):
         load_corpus(tmp_path / "absent.tsv")
@@ -274,6 +295,55 @@ def test_region_matrix_names_first_pair_without_shared_words():
     with pytest.raises(CorpusError) as got:
         region_distance_matrix(corpus, "tone2vec")
     assert str(got.value) == str(expected.value) == "regions 'A' and 'D' share no word ids"
+
+
+def shared_word_corpus(seed, regions, words, coverage):
+    """Every region attests w000, so every pair shares it; the other words are
+    attested at `coverage`, so many pairs share exactly that one word."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for r in range(regions):
+        present = np.flatnonzero(rng.random(words) < coverage) + 1
+        entries = {f"w{w:03d}": parse_transcription(ALL_TOKENS[rng.integers(0, 150)])
+                   for w in rng.permutation(np.append(present, 0))}
+        out.append(RegionLexicon(f"R{r}", entries))
+    return DialectCorpus(tuple(out))
+
+
+@pytest.mark.parametrize("metric", ["tone2vec", "categorical"])
+@pytest.mark.parametrize("n", [63, 64, 65, 129])
+def test_region_matrix_blocks_bit_identical_to_pair_loop(n, metric):
+    from tonelab import dialect
+
+    assert dialect._REGION_BLOCK == 64  # n = 65 and 129 end in a block of width 1
+    corpus = shared_word_corpus(n, regions=n, words=12, coverage=0.3)
+    matrix, warnings = region_distance_matrix(corpus, metric)
+    ref, ref_warnings = reference_region_matrix(corpus, metric)
+    assert np.array_equal(matrix.values, ref)
+    assert warnings == ref_warnings
+    entries = [r.entries.keys() for r in corpus.regions]
+    assert sum(len(a & b) == 1 for k, a in enumerate(entries) for b in entries[k + 1:]) > n
+
+
+def test_region_matrix_names_first_pair_across_blocks():
+    # Rows 0-9 share a word with both R65 and R100; row 10 is the first row with a
+    # zero, and R65 comes before R100 in it. Both sit in a later block than row 10.
+    w = parse_transcription("35")
+    regions = []
+    for r in range(130):
+        if r == 65:
+            words = ["wy"]
+        elif r == 100:
+            words = ["wx"]
+        else:
+            words = ["wc", "wx", "wy"] if r < 10 else ["wc"]
+        regions.append(RegionLexicon(f"R{r}", {word: w for word in words}))
+    corpus = DialectCorpus(tuple(regions))
+    with pytest.raises(CorpusError) as expected:
+        reference_region_matrix(corpus, "categorical")
+    with pytest.raises(CorpusError) as got:
+        region_distance_matrix(corpus, "categorical")
+    assert str(got.value) == str(expected.value) == "regions 'R10' and 'R65' share no word ids"
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,24 @@ def test_csv_byte_identical_to_per_entry_writer(which, tmp_path):
                                                 "b,-0.000000,0.000000,1.000000"]
 
 
+def test_csv_quotes_labels_with_commas_quotes_or_line_breaks():
+    import csv
+    import io
+
+    labels = ("a, b", 'q"t', "x,y.wav", "plain")
+    v = np.array([[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 1.0, 2.0],
+                  [2.0, 1.0, 0.0, 1.0], [3.0, 2.0, 1.0, 0.0]])
+    text = DistanceMatrix(labels, v).to_csv()
+    lines = text.splitlines()
+    assert lines[0] == 'label,"a, b","q""t","x,y.wav",plain'
+    assert lines[1] == '"a, b",0.000000,1.000000,2.000000,3.000000'
+    assert lines[4] == "plain,3.000000,2.000000,1.000000,0.000000"
+    parsed = list(csv.reader(io.StringIO(text)))
+    assert parsed[0] == ["label", *labels]
+    assert [row[0] for row in parsed[1:]] == list(labels)
+    assert all(len(row) == 5 for row in parsed)
+
+
 # Frozen copies of the hand-built writers that tones._csv and tones._json replaced.
 def _old_matrix_csv(m: DistanceMatrix) -> str:
     bits = m.values.view(np.uint64)
