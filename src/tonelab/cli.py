@@ -67,10 +67,8 @@ def _read_token_file(path: str) -> list:
 
     out = []
     for lineno, token in tones._nonempty_lines(path, "token file"):
-        try:
+        with naming(f"{path}:{lineno}"):
             out.append(tones.parse_transcription(token))
-        except InputError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from exc
     if not out:
         raise InputError(f"token file {path} contains no tokens")
     return out
@@ -99,7 +97,7 @@ def _cmd_variance(args: argparse.Namespace) -> int:
 
     l1 = tones.parse_transcription(args.token1)
     l2 = tones.parse_transcription(args.token2)
-    sys.stdout.write(f"{tones.variance_metric(l1, l2):.4f}\n")
+    tones._write_text(f"{tones.variance_metric(l1, l2):.4f}\n", None)
     return 0
 
 
@@ -130,9 +128,9 @@ def _cmd_transcribe(args: argparse.Namespace) -> int:
             "transcription": result.token,
             "triple": [round(v, 6) for v in triple],
         }
-        sys.stdout.write(tones._json(payload))
+        tones._write_text(tones._json(payload), None)
     else:
-        sys.stdout.write(result.token + "\n")
+        tones._write_text(result.token + "\n", None)
     return 0
 
 
@@ -142,17 +140,10 @@ def _read_training_manifest(path: str) -> list[tuple]:
     rows = tones._read_tsv(path, ("wav_path", "transcription"), "manifest")
     base = os.path.dirname(os.path.abspath(path))
     out = []
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != 2:
-            raise InputError(f"{path}:{lineno}: expected 2 columns")
-        wav_path, token = (cell.strip() for cell in row)
-        try:
-            label = tones.parse_transcription(token)
-        except InputError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from exc
-        if not os.path.isabs(wav_path):
-            wav_path = os.path.join(base, wav_path)
-        out.append((wav_path, label))
+    for lineno, (wav_path, token) in rows:
+        with naming(f"{path}:{lineno}"):
+            label = tones.parse_transcription(token.strip())
+        out.append((os.path.join(base, wav_path.strip()), label))
     return out
 
 
@@ -186,7 +177,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "train_accuracy": round(hits / len(data), 6),
     }
-    sys.stdout.write(tones._json(summary))
+    tones._write_text(tones._json(summary), None)
     return 0
 
 
@@ -197,7 +188,7 @@ def _collect_wavs(args: argparse.Namespace) -> list[str]:
     if args.wav_list:
         base = os.path.dirname(os.path.abspath(args.wav_list))
         for _, p in tones._nonempty_lines(args.wav_list, "wav list"):
-            paths.append(p if os.path.isabs(p) else os.path.join(base, p))
+            paths.append(os.path.join(base, p))
     if not paths:
         raise InputError("no WAV files given (pass paths or --wav-list)")
     return paths
@@ -226,7 +217,7 @@ def _cmd_cluster_tones(args: argparse.Namespace) -> int:
         "n_categories": result.n_categories,
         "noise": [names[i] for i in result.noise],
     }
-    sys.stdout.write(tones._json(payload))
+    tones._write_text(tones._json(payload), None)
     if args.out_csv:
         result.assignment.to_csv(names, args.out_csv)
     return 0
@@ -239,7 +230,7 @@ def _cmd_dialect_cluster(args: argparse.Namespace) -> int:
     corpus = dialectmod.load_corpus(args.corpus, args.gold)
     report = dialectmod.dialect_cluster_pipeline(corpus, metric=args.metric,
                                                  linkage=args.linkage)
-    sys.stdout.write(tones._json(report))
+    tones._write_text(tones._json(report), None)
     if args.out_csv:
         names = sorted(report["linkages"])
         labels = [report["linkages"][name]["labels"] for name in names]

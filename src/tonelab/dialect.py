@@ -11,7 +11,7 @@ import numpy as np
 from . import cluster as clustering
 from . import tones
 from ._defaults import LINKAGES, METRICS
-from .errors import CorpusError, InputError
+from .errors import CorpusError, InputError, naming
 from .tones import DistanceMatrix, Transcription, parse_transcription
 
 _CORPUS_HEADER = ("region", "word_id", "transcription")
@@ -63,19 +63,14 @@ def load_corpus(path: str | os.PathLike,
     """
     rows = tones._read_tsv(path, _CORPUS_HEADER, error=CorpusError)
     lexicons: dict[str, dict[str, Transcription]] = {}
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != 3:
-            raise CorpusError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-        region, word_id, token = row
+    for lineno, (region, word_id, token) in rows:
         region, word_id, token = region.strip(), word_id.strip(), token.strip()
         if not region or not word_id:
             raise CorpusError(f"{path}:{lineno}: empty region or word_id")
         t = tones._INTERNED.get(token)
         if t is None:  # "(35)" or an invalid token
-            try:
+            with naming(f"{path}:{lineno}", CorpusError):
                 t = parse_transcription(token)
-            except InputError as exc:
-                raise CorpusError(f"{path}:{lineno}: {exc}") from exc
         entries = lexicons.setdefault(region, {})
         if word_id in entries:
             raise CorpusError(f"{path}:{lineno}: duplicate entry ({region}, {word_id})")
@@ -84,10 +79,7 @@ def load_corpus(path: str | os.PathLike,
     gold = None
     if gold_path is not None:
         gold = {}
-        gold_rows = tones._read_tsv(gold_path, _GOLD_HEADER, error=CorpusError)
-        for lineno, row in enumerate(gold_rows, start=2):
-            if len(row) != 2:
-                raise CorpusError(f"{gold_path}:{lineno}: expected 2 columns")
+        for lineno, row in tones._read_tsv(gold_path, _GOLD_HEADER, error=CorpusError):
             region, label = (cell.strip() for cell in row)
             if label not in ("0", "1"):
                 raise CorpusError(f"{gold_path}:{lineno}: gold label must be 0 or 1, got {label!r}")

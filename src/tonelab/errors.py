@@ -32,12 +32,13 @@ class VoicingError(ToneLabError):
 
 
 @contextmanager
-def naming(source: str | None):
-    """Re-raise a ToneLabError from the block as the same type with ``source: ``
-    before its message; a None source leaves errors as they are."""
+def naming(source: str | None, error: type[ToneLabError] | None = None):
+    """Re-raise a ToneLabError from the block with ``source: `` before its message,
+    as ``error`` if one is given and as the same type otherwise; a None source
+    leaves errors as they are."""
     try:
         yield
     except ToneLabError as exc:
         if source is None:
             raise
-        raise type(exc)(f"{source}: {exc}") from exc
+        raise (error or type(exc))(f"{source}: {exc}") from exc

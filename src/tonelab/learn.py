@@ -63,15 +63,6 @@ def pitch_distance_subgradient(z: Sequence[float], y: Transcription) -> np.ndarr
     return np.array([float(np.sign(zi - ti)) for zi, ti in zip(z, targets)])
 
 
-def _round_half_away(v: float) -> int:
-    # Pitch levels are positive, so half-away-from-zero is floor(v + 0.5).
-    return int(math.floor(v + 0.5))
-
-
-def _clamp_digit(d: int) -> int:
-    return min(5, max(1, d))
-
-
 def linearity_margin(z: Sequence[float]) -> float:
     """|z1 + z3 - 2*z2|: how far the triple is from a straight line."""
     z1, z2, z3 = z
@@ -92,7 +83,8 @@ def decode_transcription(z: Sequence[float], beta: float = DEFAULT_BETA) -> Tran
         digits = (z1, z3)
     else:
         digits = (z1, z2, z3)
-    return Transcription(tuple(_clamp_digit(_round_half_away(v)) for v in digits))
+    # Pitch levels are positive, so half-away-from-zero is floor(v + 0.5).
+    return Transcription(tuple(min(5, max(1, int(math.floor(v + 0.5)))) for v in digits))
 
 
 def f0_baseline_transcribe(track: pitchmod.F0Track, beta: float = DEFAULT_BETA) -> Transcription:

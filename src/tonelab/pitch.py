@@ -21,7 +21,7 @@ import numpy as np
 from ._defaults import (DEFAULT_FEATURE_POINTS, DEFAULT_FRAME_MS, DEFAULT_HOP_MS,
                         DEFAULT_YIN_THRESHOLD, F0_CEIL_HZ, F0_FLOOR_HZ)
 from .errors import AudioError, InputError, VoicingError
-from .tones import _csv
+from .tones import _csv, _reading
 
 _MIN_VOICED_FRAMES = 5
 
@@ -97,13 +97,11 @@ def _decode_wav(raw: bytes) -> tuple[int, np.ndarray]:
 
 def read_wav(path: str | os.PathLike) -> AudioClip:
     """Load a RIFF/WAVE file (PCM or IEEE float); stereo is averaged to mono."""
-    if not os.path.exists(path):
-        raise AudioError(f"WAV file not found: {path}")
-    try:
-        with open(path, "rb") as fh:
+    with _reading(path, "WAV file", AudioError, binary=True) as fh:
+        try:
             rate, data = _decode_wav(fh.read())
-    except (OSError, ValueError, struct.error) as exc:
-        raise AudioError(f"malformed WAV file {path}: {exc}") from exc
+        except (ValueError, struct.error) as exc:
+            raise AudioError(f"malformed WAV file {path}: {exc}") from exc
     if data.size == 0:
         raise AudioError(f"WAV file contains no audio: {path}")
     if data.dtype == np.uint8:
@@ -154,11 +152,6 @@ class F0Track:
 
     def to_csv(self, path: str | os.PathLike | None = None) -> str:
         return _csv(("time_s", "f0_hz"), zip(self.times.tolist(), self.f0.tolist()), path)
-
-
-def _frame_matrix(x: np.ndarray, frame: int, hop: int) -> np.ndarray:
-    """Read-only view of the frames x[i*hop : i*hop + frame], one per row."""
-    return np.lib.stride_tricks.sliding_window_view(x, frame)[::hop]
 
 
 # The F0 kernel walks a clip in blocks of at most this many frames, so its
@@ -246,14 +239,6 @@ def _workspace(frame: int, tau_max: int) -> _Workspace:
     return ws
 
 
-def _difference_function(frames: np.ndarray, tau_max: int) -> np.ndarray:
-    """The difference function of at most _BLOCK_FRAMES frames, in the operand
-    order of these frames alone; a view into this thread's workspace, valid
-    until its next use."""
-    ws = _workspace(frames.shape[1], tau_max)
-    return ws.difference(frames, ws.conj_first(len(frames)))
-
-
 def _dip_f0(nd: np.ndarray, sr: int, tau_min: int, fmin: float, fmax: float,
             threshold: float) -> np.ndarray:
     """F0 per row of a normalized difference block; 0 where no dip qualifies."""
@@ -320,7 +305,7 @@ def extract_f0(
             f"(needs > {tau_max + 16})"
         )
 
-    frames = _frame_matrix(x, frame, hop)
+    frames = np.lib.stride_tricks.sliding_window_view(x, frame)[::hop]  # read-only view
     n_frames = len(frames)
     ws = _workspace(frame, tau_max)
     conj_first = ws.conj_first(n_frames)

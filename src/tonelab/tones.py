@@ -81,11 +81,12 @@ def _json(obj) -> str:
 
 @contextlib.contextmanager
 def _reading(path: str | os.PathLike, what: str = "file",
-             error: type[InputError] = InputError) -> Iterator[io.TextIOBase]:
-    """Open a user's UTF-8 text file for the block. A file that is missing,
-    unreadable or not UTF-8 raises ``error`` naming what it is and its path."""
+             error: type[InputError] = InputError, binary: bool = False) -> Iterator[io.IOBase]:
+    """Open a user's file for the block, as UTF-8 text or, if binary, as bytes. A file
+    that is missing, unreadable or not UTF-8 raises ``error`` naming what it is and its path."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with (open(path, "rb") if binary
+              else open(path, "r", encoding="utf-8", newline="")) as fh:
             yield fh
     except FileNotFoundError as exc:
         raise error(f"{what} not found: {path}") from exc
@@ -95,8 +96,10 @@ def _reading(path: str | os.PathLike, what: str = "file",
 
 
 def _read_tsv(path: str | os.PathLike, header: tuple[str, ...], what: str = "file",
-              error: type[InputError] = InputError) -> Iterator[list[str]]:
-    """Yield the data rows of a user's tab-separated file, after checking its header.
+              error: type[InputError] = InputError) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, cells) for each data row of a user's tab-separated file,
+    after checking its header. Rows are numbered from 2, and a row whose width is not
+    the header's raises ``error`` naming its path and line; cells are not stripped.
 
     Rows are read as they are yielded, so the file stays open until the caller
     has taken the last one, and a later row's decoding error comes after the
@@ -109,11 +112,13 @@ def _read_tsv(path: str | os.PathLike, header: tuple[str, ...], what: str = "fil
         found = [cell.strip() for cell in first]
         if tuple(found) != header:
             raise error(f"{path}: expected header {list(header)}, got {found}")
-        row = next(rows, None)
-        if row is None:
+        lineno, width = 1, len(header)
+        for lineno, row in enumerate(rows, start=2):
+            if len(row) != width:
+                raise error(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
+            yield lineno, row
+        if lineno == 1:
             raise error(f"{path}: no data rows")
-        yield row
-        yield from rows
 
 
 def _nonempty_lines(path: str | os.PathLike, what: str) -> list[tuple[int, str]]:
@@ -197,14 +202,6 @@ def curve_of(t: Transcription) -> PitchCurve:
     a = (p - 2 * q + r) / 2
     b = (q - p) - 3 * a
     return PitchCurve(a, b, p - a - b)
-
-
-def _code(t: Transcription) -> int:
-    """Index of a transcription in canonical order: 0-24 two-digit, 25-149 three-digit."""
-    code = 0
-    for d in t.digits:
-        code = code * 5 + d - 1
-    return code if len(t.digits) == 2 else 25 + code
 
 
 def _abs_integrals(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -370,7 +367,7 @@ def build_distance_matrix(ls: Sequence[Transcription]) -> DistanceMatrix:
 
     if len(ls) == 0:
         raise InputError("cannot build a distance matrix from an empty list")
-    codes = [_code(t) for t in ls]
+    codes = [_CODES[t.digits] for t in ls]
     return DistanceMatrix(tuple(t.token for t in ls), _table()[np.ix_(codes, codes)])
 
 
@@ -384,7 +381,7 @@ def canonical_transcriptions() -> list[Transcription]:
 
 
 _INTERNED = {t.token: t for t in canonical_transcriptions()}
-_CODES = {t.digits: _code(t) for t in _INTERNED.values()}  # digits -> canonical code
+_CODES = {t.digits: code for code, t in enumerate(_INTERNED.values())}  # digits -> canonical code
 
 
 @lru_cache(maxsize=1)

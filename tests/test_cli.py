@@ -90,6 +90,17 @@ def test_dist_tokens_file(tmp_path, capsys):
     assert out[1] == "41,0.000000,2.268354"
 
 
+def test_dist_tokens_file_errors_name_their_line(tmp_path, capsys):
+    tokens = tmp_path / "tokens.txt"
+    tokens.write_text("41\n\n 61 \n", encoding="utf-8")
+    assert main(["dist", "--tokens-file", str(tokens)]) == 2
+    assert capsys.readouterr().err == (f"tonelab: error: {tokens}:3: invalid transcription "
+                                       "token '61': expected 2-3 digits in 1..5\n")
+    tokens.write_text("\n  \n\n", encoding="utf-8")
+    assert main(["dist", "--tokens-file", str(tokens)]) == 2
+    assert capsys.readouterr().err == f"tonelab: error: token file {tokens} contains no tokens\n"
+
+
 @pytest.mark.parametrize("pair,expected", [
     (("445", "45"), "0.1225"),
     (("445", "445"), "0.0000"),
@@ -268,6 +279,18 @@ def test_train_failure_names_the_clip(tmp_path, capsys):
 def test_train_missing_manifest(tmp_path, capsys):
     assert main(["train", "--data", str(tmp_path / "no.tsv"),
                  "--out", str(tmp_path / "m.json"), "--seed", "1"]) == 2
+
+
+@pytest.mark.parametrize("row,message", [
+    ("b.wav\t15\textra", ":3: expected 2 columns"),
+    ("b.wav\t61", ":3: invalid transcription token '61'"),
+], ids=["three-cells", "bad-token"])
+def test_train_manifest_row_errors_name_their_line(row, message, tmp_path, capsys):
+    manifest = tmp_path / "train.tsv"
+    manifest.write_text(f"wav_path\ttranscription\na.wav\t15\n{row}\n", encoding="utf-8")
+    assert main(["train", "--data", str(manifest), "--out", str(tmp_path / "m.json"),
+                 "--seed", "1"]) == 2
+    assert capsys.readouterr().err.startswith(f"tonelab: error: {manifest}{message}")
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +533,8 @@ BAD_MODELS = {
 }
 
 # (argv, the path stderr must name). {missing} lies in a missing directory and
-# {under_file} under a regular file; {dir} is a directory and {latin1} is not UTF-8.
+# {under_file} under a regular file; {dir} is a directory and {latin1} is not UTF-8;
+# {model} is a valid model.
 BAD_INPUTS = [
     # output paths are checked before any input is read, even a missing one
     ("dist 41 312 -o {missing}", "{missing}"),
@@ -541,6 +565,9 @@ BAD_INPUTS = [
     *((f"cluster-tones {{wav}} --model {{{name}}} --out-csv {{out}}", f"{{{name}}}")
       for name in BAD_MODELS),
     ("transcribe {wav} --method model --model {top_list} --f0-csv {out}", "{top_list}"),
+    # a WAV path that is a directory
+    ("transcribe {dir}", "{dir}"),
+    ("cluster-tones {dir} --model {model} --out-csv {out}", "{dir}"),
 ]
 
 
@@ -553,7 +580,7 @@ def test_bad_input_exits_2_naming_the_path(argv, bad, tmp_path, capsys, corpus_t
              "dir": tmp_path / "adir", "latin1": tmp_path / "latin1.txt",
              "nope": tmp_path / "nope", "out": tmp_path / "out.csv",
              "corpus": corpus_tsv[0], "wav": rise_wav}
-    for name, payload in BAD_MODELS.items():
+    for name, payload in {"model": _MODEL, **BAD_MODELS}.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(payload), encoding="utf-8")
     paths = {name: str(path) for name, path in paths.items()}

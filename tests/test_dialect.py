@@ -152,6 +152,20 @@ def test_load_corpus_gold_labels(tmp_path):
         load_corpus(corpus_path, gold_path)
 
 
+def test_load_corpus_gold_row_errors_name_their_line(tmp_path):
+    corpus_path = write_corpus(tmp_path, ["X\tw1\t35", "Y\tw1\t51"])
+    gold_path = tmp_path / "gold.tsv"
+    cases = [
+        ("X\t0\nY\t1\t1", ":3: expected 2 columns"),
+        ("X\t0\nX\t1", ":3: duplicate gold region 'X'"),
+    ]
+    for rows, message in cases:
+        gold_path.write_text(f"region\tgold_label\n{rows}\n", encoding="utf-8")
+        with pytest.raises(CorpusError) as got:
+            load_corpus(corpus_path, gold_path)
+        assert str(got.value).startswith(f"{gold_path}{message}"), (rows, str(got.value))
+
+
 # ---------------------------------------------------------------------------
 # region distances
 

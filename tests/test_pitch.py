@@ -21,7 +21,7 @@ from tonelab import (
     f0_baseline_triple,
     read_wav,
 )
-from tonelab.pitch import _difference_function, _longest_voiced_run
+from tonelab.pitch import _longest_voiced_run, _workspace
 from .synth import SR, constant_track, tone_clip, tone_track
 
 
@@ -168,6 +168,16 @@ def test_read_wav_missing_file(tmp_path):
         read_wav(tmp_path / "nope.wav")
 
 
+def test_read_wav_errors_name_the_path(tmp_path):
+    missing = tmp_path / "nope.wav"
+    with pytest.raises(AudioError) as got:
+        read_wav(missing)
+    assert str(got.value) == f"WAV file not found: {missing}"
+    with pytest.raises(AudioError) as got:
+        read_wav(tmp_path)
+    assert str(got.value) == f"cannot read WAV file {tmp_path}: Is a directory"
+
+
 def test_audio_clip_validation():
     with pytest.raises(AudioError):
         AudioClip(np.zeros(0), 16000)
@@ -186,7 +196,8 @@ def test_difference_function_matches_direct_loop():
     frames = rng.normal(size=(3, 120))
     tau_max = 40
     w = 120 - tau_max
-    fast = _difference_function(frames, tau_max)
+    ws = _workspace(120, tau_max)
+    fast = ws.difference(frames, ws.conj_first(len(frames)))
     for fi in range(3):
         for tau in range(tau_max + 1):
             direct = np.sum((frames[fi, :w] - frames[fi, tau:tau + w]) ** 2)
