@@ -17,8 +17,7 @@ import importlib
 _EXPORTS = {
     "cluster": ("ClusterAssignment", "Dendrogram", "LINKAGES", "NOISE", "classical_mds",
                 "cut_tree", "dbscan", "hierarchical_cluster", "two_cluster_accuracy"),
-    "dialect": ("DialectCorpus", "Embedding1D", "RegionLexicon", "dialect_cluster_pipeline",
-                "dialect_variance_map", "load_corpus", "region_distance",
+    "dialect": ("DialectCorpus", "RegionLexicon", "dialect_cluster_pipeline", "load_corpus",
                 "region_distance_matrix"),
     "errors": ("AudioError", "CorpusError", "InputError", "ToneLabError",
                "TranscriptionError", "VoicingError"),

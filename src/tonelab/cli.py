@@ -40,15 +40,15 @@ _nonnegative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
 def _add_f0_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("F0 extraction")
-    group.add_argument("--fmin", type=float, default=defaults.F0_FLOOR_HZ,
+    group.add_argument("--fmin", type=_positive, default=defaults.F0_FLOOR_HZ,
                        help="lowest admissible F0 in Hz (default %(default)s)")
-    group.add_argument("--fmax", type=float, default=defaults.F0_CEIL_HZ,
+    group.add_argument("--fmax", type=_positive, default=defaults.F0_CEIL_HZ,
                        help="highest admissible F0 in Hz (default %(default)s)")
-    group.add_argument("--frame-ms", type=float, default=defaults.DEFAULT_FRAME_MS,
+    group.add_argument("--frame-ms", type=_positive, default=defaults.DEFAULT_FRAME_MS,
                        help="analysis frame length in ms (default %(default)s)")
-    group.add_argument("--hop-ms", type=float, default=defaults.DEFAULT_HOP_MS,
+    group.add_argument("--hop-ms", type=_positive, default=defaults.DEFAULT_HOP_MS,
                        help="hop between frames in ms (default %(default)s)")
-    group.add_argument("--yin-threshold", type=float, default=defaults.DEFAULT_YIN_THRESHOLD,
+    group.add_argument("--yin-threshold", type=_positive, default=defaults.DEFAULT_YIN_THRESHOLD,
                        help="voicing dip threshold (default %(default)s)")
 
 
@@ -296,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l2", type=_nonnegative, default=0.0)
     p.add_argument("--beta", type=_positive, default=defaults.DEFAULT_BETA,
                    help="decoder threshold used for the training-accuracy report")
-    p.add_argument("--feature-points", type=int, default=defaults.DEFAULT_FEATURE_POINTS,
+    p.add_argument("--feature-points", type=_checked(int, lambda v: v >= 2, "an integer >= 2"),
+                   default=defaults.DEFAULT_FEATURE_POINTS,
                    help="contour feature length K (default %(default)s)")
     _add_f0_options(p)
     p.set_defaults(func=_cmd_train)
@@ -306,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wav-list", help="file with one WAV path per line")
     p.add_argument("--model", required=True)
     p.add_argument("--eps", type=_positive, default=0.6)
-    p.add_argument("--min-samples", type=int, default=4)
+    p.add_argument("--min-samples", type=_checked(int, lambda v: v >= 1, "an integer >= 1"),
+                   default=4)
     p.add_argument("--beta", type=_positive, default=defaults.DEFAULT_BETA)
     p.add_argument("--out-csv", help="write per-clip cluster labels to this CSV")
     _add_f0_options(p)

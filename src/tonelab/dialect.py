@@ -4,7 +4,6 @@ from __future__ import annotations
 import operator
 import os
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -102,11 +101,13 @@ def _metric_table(metric: str) -> np.ndarray:
 
 _digits = operator.attrgetter("digits")
 _MISSING = 150  # the code of an unattested word: row and column 150 of the padded table
-_REGION_BLOCK = 64  # regions per accumulator block in _pairwise
+_REGION_BLOCK = 64  # regions per accumulator block in region_distance_matrix
 
 
-def _pairwise(regions: Sequence[RegionLexicon], metric: str) -> tuple[np.ndarray, list[str]]:
-    """Mean distance over shared word ids for every region pair, plus warnings.
+def region_distance_matrix(corpus: DialectCorpus, metric: str = "tone2vec"
+                           ) -> tuple[DistanceMatrix, list[str]]:
+    """Mean distance over shared word ids for every region pair, plus warnings
+    for skipped unshared words.
 
     The corpus becomes a word-major array of canonical codes, one row per word
     id in sorted order and one column per region (_MISSING where the word is
@@ -117,6 +118,9 @@ def _pairwise(regions: Sequence[RegionLexicon], metric: str) -> tuple[np.ndarray
     word adds an exact 0.0: each entry is the plain sum of its pair's distances
     divided by their count.
     """
+    regions = corpus.regions
+    if len(regions) < 2:
+        raise InputError("pairwise analysis needs at least 2 regions")
     padded = np.zeros((_MISSING + 1, _MISSING + 1))
     padded[:_MISSING, :_MISSING] = _metric_table(metric)
     words = sorted(set().union(*(r.entries for r in regions)))
@@ -153,26 +157,11 @@ def _pairwise(regions: Sequence[RegionLexicon], metric: str) -> tuple[np.ndarray
 
     sizes = np.diag(counts)
     skipped = sizes[:, None] + sizes - 2 * counts
-    ids = [r.region_id for r in regions]
+    ids = corpus.region_ids
     rows, cols = np.nonzero(np.triu(skipped, 1))  # row-major (i, j) order
     warnings = [f"{ids[i]}/{ids[j]}: skipped {k} unshared word(s)"
                 for i, j, k in zip(rows.tolist(), cols.tolist(), skipped[rows, cols].tolist())]
-    return values, warnings
-
-
-def region_distance(a: RegionLexicon, b: RegionLexicon, metric: str = "tone2vec") -> float:
-    """Mean transcription distance over the word ids shared by two regions."""
-    values, _ = _pairwise((a, b), metric)
-    return float(values[0, 1])
-
-
-def region_distance_matrix(corpus: DialectCorpus, metric: str = "tone2vec"
-                           ) -> tuple[DistanceMatrix, list[str]]:
-    """Pairwise region distances plus warnings for skipped unshared words."""
-    if len(corpus.regions) < 2:
-        raise InputError("pairwise analysis needs at least 2 regions")
-    values, warnings = _pairwise(corpus.regions, metric)
-    return DistanceMatrix(corpus.region_ids, values), warnings
+    return DistanceMatrix(ids, values), warnings
 
 
 def dialect_cluster_pipeline(corpus: DialectCorpus, metric: str = "tone2vec",
@@ -209,26 +198,3 @@ def dialect_cluster_pipeline(corpus: DialectCorpus, metric: str = "tone2vec",
         "linkages": results,
         "coverage_warnings": warnings,
     }
-
-
-@dataclass(frozen=True)
-class Embedding1D:
-    """One MDS coordinate per region; defined up to sign and translation."""
-
-    region_ids: tuple[str, ...]
-    coords: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.coords, dtype=float).reshape(-1)
-        object.__setattr__(self, "coords", arr)
-        if len(arr) != len(self.region_ids):
-            raise InputError("coordinate count does not match region count")
-        if not np.all(np.isfinite(arr)):
-            raise InputError("embedding coordinates must be finite")
-
-
-def dialect_variance_map(corpus: DialectCorpus, metric: str = "tone2vec") -> Embedding1D:
-    """1-D MDS embedding of the region distance matrix."""
-    matrix, _ = region_distance_matrix(corpus, metric)
-    coords = clustering.classical_mds(matrix, dims=1)
-    return Embedding1D(corpus.region_ids, coords[:, 0])

@@ -285,6 +285,8 @@ def extract_f0(
         raise InputError(
             f"need {F0_FLOOR_HZ} <= fmin < fmax <= {F0_CEIL_HZ}, got [{fmin}, {fmax}]"
         )
+    if not all(map(math.isfinite, (frame_ms, hop_ms, threshold))):
+        raise InputError("frame and hop durations and the voicing threshold must be finite")
     if threshold <= 0:
         raise InputError("voicing threshold must be positive")
     sr = clip.sample_rate

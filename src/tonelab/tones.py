@@ -9,7 +9,6 @@ area between their curves, computed in closed form.
 from __future__ import annotations
 
 import contextlib
-import csv
 import io
 import itertools
 import json
@@ -98,14 +97,16 @@ def _reading(path: str | os.PathLike, what: str = "file",
 def _read_tsv(path: str | os.PathLike, header: tuple[str, ...], what: str = "file",
               error: type[InputError] = InputError) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, cells) for each data row of a user's tab-separated file,
-    after checking its header. Rows are numbered from 2, and a row whose width is not
-    the header's raises ``error`` naming its path and line; cells are not stripped.
+    after checking its header. A row is one physical line, split on tabs after its
+    line end is removed; quotes are ordinary characters, and an empty line is a row
+    of no cells. Rows are numbered from 2, and a row whose width is not the header's
+    raises ``error`` naming its path and line; cells are not stripped.
 
     Rows are read as they are yielded, so the file stays open until the caller
     has taken the last one, and a later row's decoding error comes after the
     caller's errors for earlier rows."""
     with _reading(path, what, error) as fh:
-        rows = csv.reader(fh, delimiter="\t")
+        rows = (text.split("\t") if (text := line.rstrip("\r\n")) else [] for line in fh)
         first = next(rows, None)
         if first is None:
             raise error(f"empty {what}: {path}")

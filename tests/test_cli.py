@@ -488,6 +488,15 @@ BAD_NUMBERS = [
     (["train", "--data", "t.tsv", "--out", "m.json", "--seed", "1"], "--epochs",
      ["-5", "1.5", "nan"]),
     (["train", "--data", "t.tsv", "--out", "m.json", "--seed", "1"], "--beta", ["nan"]),
+    (["transcribe", "a.wav"], "--hop-ms", ["nan", "inf", "0", "-10"]),
+    (["transcribe", "a.wav"], "--frame-ms", ["inf", "nan", "0"]),
+    (["transcribe", "a.wav"], "--yin-threshold", ["nan", "inf", "-0.15"]),
+    (["transcribe", "a.wav"], "--fmin", ["nan", "-50"]),
+    (["cluster-tones", "a.wav", "--model", "m.json"], "--fmax", ["inf", "0"]),
+    (["train", "--data", "t.tsv", "--out", "m.json", "--seed", "1"], "--hop-ms", ["nan"]),
+    (["train", "--data", "t.tsv", "--out", "m.json", "--seed", "1"], "--feature-points",
+     ["1", "0", "2.5"]),
+    (["cluster-tones", "a.wav", "--model", "m.json"], "--min-samples", ["0", "-3", "x"]),
 ]
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,14 +15,13 @@ from tonelab import (
     contour_feature,
     cut_tree,
     dialect_cluster_pipeline,
-    dialect_variance_map,
     extract_f0,
     hierarchical_cluster,
     load_corpus,
     canonical_transcriptions,
     categorical_distance,
+    classical_mds,
     parse_transcription,
-    region_distance,
     region_distance_matrix,
     tone_clustering_pipeline,
     train_tone_model,
@@ -123,6 +124,7 @@ def test_load_corpus_row_errors_name_their_line(tmp_path):
         (["X\t\t35"], ":2: empty region or word_id"),
         (["X\tw1\t35", "X\tw2\t(61)"], ":3: invalid transcription token '(61)'"),
         (["X\tw1\t35", "X\tw1\t(35)"], ":3: duplicate entry (X, w1)"),
+        (["X\tw1\t35", "", "Y\tw1\t51"], ":3: expected 3 columns, got 0"),
     ]
     for rows, message in cases:
         path = write_corpus(tmp_path, rows)
@@ -166,35 +168,72 @@ def test_load_corpus_gold_row_errors_name_their_line(tmp_path):
         assert str(got.value).startswith(f"{gold_path}{message}"), (rows, str(got.value))
 
 
+QUOTED_ROWS = ['"A\tw1\t35', "B\tw1\t35", 'C"\tw1\t53', "D\tw1\t55"]
+
+
+def test_load_corpus_quotes_are_ordinary_characters(tmp_path):
+    # Each physical line is one row: a cell that starts with a quote does not
+    # run on to the next quote, and later rows keep their own line numbers.
+    corpus = load_corpus(write_corpus(tmp_path, QUOTED_ROWS))
+    assert corpus.region_ids == ('"A', "B", 'C"', "D")
+    assert sum(len(r) for r in corpus.regions) == 4
+    path = write_corpus(tmp_path, [*QUOTED_ROWS, "E\tw1\t61"])
+    with pytest.raises(CorpusError) as got:
+        load_corpus(path)
+    assert str(got.value).startswith(f"{path}:6: invalid transcription token '61'")
+
+
+def test_load_corpus_reads_a_cell_of_any_length(tmp_path):
+    long_id = "w" * 200_000  # more than the 131,072 characters of csv's field limit
+    corpus = load_corpus(write_corpus(tmp_path, [f"X\t{long_id}\t35", f"Y\t{long_id}\t51"]))
+    assert [list(r.entries) for r in corpus.regions] == [[long_id], [long_id]]
+
+
+def test_load_corpus_crlf_and_no_final_newline(tmp_path):
+    path = tmp_path / "corpus.tsv"
+    path.write_bytes(b"region\tword_id\ttranscription\r\nX\tw1\t35\r\nY\tw1\t51")
+    corpus = load_corpus(path)
+    assert corpus.region_ids == ("X", "Y")
+    assert [r.entries["w1"].token for r in corpus.regions] == ["35", "51"]
+    path.write_bytes(b"region\tword_id\ttranscription\r\nX\tw1\t35\r\nX\tw2\t39")
+    with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}:3: "):
+        load_corpus(path)
+
+
 # ---------------------------------------------------------------------------
 # region distances
+
+
+def pair_distance(a, b, metric="tone2vec"):
+    """The distance of two regions: the off-diagonal entry of their region matrix."""
+    return region_distance_matrix(DialectCorpus((a, b)), metric)[0].values[0, 1]
 
 
 def test_region_distance_identical_lexicons():
     a = lexicon("A", TEMPLATE_A)
     b = lexicon("B", TEMPLATE_A)
-    assert region_distance(a, b, "tone2vec") == 0.0
-    assert region_distance(a, b, "categorical") == 0.0
+    assert pair_distance(a, b, "tone2vec") == 0.0
+    assert pair_distance(a, b, "categorical") == 0.0
 
 
 def test_region_distance_single_word_pair():
     a = RegionLexicon("A", {"w1": parse_transcription("41")})
     b = RegionLexicon("B", {"w1": parse_transcription("312")})
-    assert region_distance(a, b, "tone2vec") == pytest.approx(2.268354, abs=1e-6)
-    assert region_distance(a, b, "categorical") == 1.0
+    assert pair_distance(a, b, "tone2vec") == pytest.approx(2.268354, abs=1e-6)
+    assert pair_distance(a, b, "categorical") == 1.0
 
 
 def test_region_distance_requires_shared_words():
     a = RegionLexicon("A", {"w1": parse_transcription("41")})
     b = RegionLexicon("B", {"w2": parse_transcription("312")})
     with pytest.raises(CorpusError, match="share no word"):
-        region_distance(a, b)
+        pair_distance(a, b)
 
 
 def test_region_distance_unknown_metric():
     a = lexicon("A", TEMPLATE_A)
     with pytest.raises(InputError):
-        region_distance(a, a, "hamming")
+        pair_distance(a, a, "hamming")
 
 
 def test_region_distance_is_symmetric_and_triangular_on_shared_words():
@@ -203,9 +242,9 @@ def test_region_distance_is_symmetric_and_triangular_on_shared_words():
     b = lexicon("B", TEMPLATE_B)
     c = lexicon("C", ["35", "42", "315", "24", "55", "21"])
     for metric in ("tone2vec", "categorical"):
-        dab = region_distance(a, b, metric)
-        assert dab == region_distance(b, a, metric)
-        assert dab <= region_distance(a, c, metric) + region_distance(c, b, metric) + 1e-12
+        dab = pair_distance(a, b, metric)
+        assert dab == pair_distance(b, a, metric)
+        assert dab <= pair_distance(a, c, metric) + pair_distance(c, b, metric) + 1e-12
 
 
 def test_region_distance_matrix_reports_unshared_words():
@@ -291,7 +330,7 @@ def test_region_matrix_pair_sharing_one_word():
         ref, ref_warnings = reference_region_matrix(corpus, metric)
         assert np.array_equal(matrix.values, ref)
         assert warnings == ref_warnings
-        assert region_distance(regions[0], regions[1], metric) == ref[0, 1]
+        assert pair_distance(regions[0], regions[1], metric) == ref[0, 1]
 
 
 def test_region_matrix_names_first_pair_without_shared_words():
@@ -426,12 +465,17 @@ def test_pipeline_no_gold_reports_none():
 # variance map
 
 
+def mds_1d(corpus):
+    """One MDS coordinate per region, the composition the dialect-mds command runs."""
+    return classical_mds(region_distance_matrix(corpus)[0], 1)[:, 0]
+
+
 def test_variance_map_identical_pair_plus_divergent():
     a = lexicon("A", TEMPLATE_A)
     b = lexicon("B", TEMPLATE_A)
     c = lexicon("C", TEMPLATE_B)
-    embedding = dialect_variance_map(DialectCorpus((a, b, c)))
-    coords = dict(zip(embedding.region_ids, embedding.coords))
+    corpus = DialectCorpus((a, b, c))
+    coords = dict(zip(corpus.region_ids, mds_1d(corpus)))
     assert abs(coords["A"] - coords["B"]) < 1e-8
     assert abs(coords["A"] - coords["C"]) > 0.5
 
@@ -439,19 +483,18 @@ def test_variance_map_identical_pair_plus_divergent():
 def test_variance_map_single_pair():
     a = lexicon("A", TEMPLATE_A)
     c = lexicon("C", TEMPLATE_B)
-    embedding = dialect_variance_map(DialectCorpus((a, c)))
-    d = region_distance(a, c)
-    assert sorted(embedding.coords) == pytest.approx([-d / 2, d / 2], abs=1e-10)
+    coords = mds_1d(DialectCorpus((a, c)))
+    d = pair_distance(a, c)
+    assert sorted(coords) == pytest.approx([-d / 2, d / 2], abs=1e-10)
 
 
 def test_variance_map_permutation_invariant():
     corpus = six_region_corpus()
-    base = dialect_variance_map(corpus)
-    permuted = dialect_variance_map(DialectCorpus(tuple(reversed(corpus.regions))))
-    mapped = dict(zip(permuted.region_ids, permuted.coords))
-    forward = np.array([mapped[r] for r in base.region_ids])
-    assert np.allclose(np.abs(forward - forward[0]), np.abs(base.coords - base.coords[0]),
-                       atol=1e-8)
+    base = mds_1d(corpus)
+    reversed_corpus = DialectCorpus(tuple(reversed(corpus.regions)))
+    mapped = dict(zip(reversed_corpus.region_ids, mds_1d(reversed_corpus)))
+    forward = np.array([mapped[r] for r in corpus.region_ids])
+    assert np.allclose(np.abs(forward - forward[0]), np.abs(base - base[0]), atol=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -472,6 +472,10 @@ def test_extract_f0_config_validation():
         extract_f0(clip, fmin=300.0, fmax=100.0)
     with pytest.raises(InputError):
         extract_f0(clip, threshold=0.0)
+    for option in ("frame_ms", "hop_ms", "threshold"):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(InputError, match="must be finite"):
+                extract_f0(clip, **{option: value})
 
 
 def test_f0_track_validation():
