@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output model JSON path")
     p.add_argument("--lr", type=_positive, default=0.002)
     p.add_argument("--epochs", type=_nonnegative_int, default=2000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_nonnegative_int, required=True)
     p.add_argument("--l2", type=_nonnegative, default=0.0)
     p.add_argument("--beta", type=_positive, default=defaults.DEFAULT_BETA,
                    help="decoder threshold used for the training-accuracy report")

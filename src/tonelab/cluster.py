@@ -14,7 +14,8 @@ uc/wc/mv run on squared dissimilarities internally and report merge heights
 as the square root of the updated value. Each merge joins the active pair of
 cluster ids i < j with the least height d[i, j], read from the upper triangle
 only (DistanceMatrix allows 1e-9 of asymmetry); ties at equal height go to the
-smallest (i, j) in row-major order. All routines are deterministic.
+smallest (i, j) in row-major order. All routines are deterministic. Linkage and
+MDS scale by an exact power of two, so any finite matrix clusters and embeds.
 """
 from __future__ import annotations
 
@@ -90,13 +91,12 @@ def _lance_williams_update(linkage: str, d_ik: np.ndarray, d_jk: np.ndarray, d_i
     return ((n_i + n_k) * d_ik + (n_j + n_k) * d_jk - n_k * d_ij) / n_all
 
 
-def _squared(d: DistanceMatrix) -> np.ndarray:
-    """Elementwise squares of the distances; InputError if any overflows."""
-    with np.errstate(over="ignore"):
-        d2 = d.values * d.values
-    if not np.isfinite(d2).all():
-        raise InputError("distances above ~1.3e154 overflow when squared")
-    return d2
+def _scaled(d: DistanceMatrix) -> tuple[np.ndarray, int]:
+    """(a copy of the distances times 2**-e, e): e is 0 while the largest lies in [2**-200,
+    2**200], else it puts the largest in [0.5, 1), so squares neither overflow nor underflow."""
+    top = float(d.values.max())
+    e = 0 if 2.0 ** -200 <= top <= 2.0 ** 200 else math.frexp(top)[1]
+    return np.ldexp(d.values, -e), e
 
 
 def hierarchical_cluster(d: DistanceMatrix, linkage: str) -> Dendrogram:
@@ -115,7 +115,9 @@ def hierarchical_cluster(d: DistanceMatrix, linkage: str) -> Dendrogram:
     # cache[c] is the least work[slot[c], slot[k]] over active ids k > c and nbr[c]
     # the first such k. A stale id lost its neighbour to a merge: its cache is then
     # only a lower bound, and it is rescanned when it comes first.
-    work = _squared(d) if squared else d.values.copy()
+    work, e = _scaled(d)
+    if squared:
+        work *= work
     slot = np.arange(2 * n - 1)
     sizes = np.ones(n, dtype=np.int64)  # by slot
     alive = np.zeros(2 * n - 1, dtype=bool)
@@ -146,7 +148,7 @@ def hierarchical_cluster(d: DistanceMatrix, linkage: str) -> Dendrogram:
         upd = _lance_williams_update(linkage, work[si, rs], work[sj, rs], d_ij,
                                      n_i, n_j, sizes[rs])
         height = math.sqrt(max(d_ij, 0.0)) if squared else d_ij
-        steps.append((i, j, height, n_i + n_j))
+        steps.append((i, j, math.ldexp(height, e), n_i + n_j))
         work[si, rs] = work[rs, si] = upd
         sizes[si] = n_i + n_j
         slot[new] = si
@@ -215,7 +217,7 @@ def dbscan(points: Sequence[Sequence[float]], eps: float, min_samples: int) -> C
     order; border points keep the first cluster that reaches them. Unreached
     points are NOISE.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise InputError("eps must be positive")
     if min_samples < 1:
         raise InputError("min_samples must be >= 1")
@@ -271,19 +273,14 @@ def classical_mds(d: DistanceMatrix, dims: int) -> np.ndarray:
     if n < dims + 1:
         raise InputError(f"need at least {dims + 1} items for a {dims}-D embedding")
 
-    d2 = _squared(d)
+    d2, e = _scaled(d)
+    d2 *= d2
     centering = np.eye(n) - np.full((n, n), 1.0 / n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        b = -0.5 * centering @ d2 @ centering
-        b = 0.5 * (b + b.T)  # enforce exact symmetry
-    finite = np.isfinite(b).all()
-    if finite:
-        w, v = np.linalg.eigh(b)  # ascending eigenvalues
-        finite = np.isfinite(w).all()  # LAPACK overflows on entries near the float limit
-    if not finite:
-        raise InputError("distances too large for MDS: the centred squared distances overflow")
+    b = -0.5 * centering @ d2 @ centering
+    b = 0.5 * (b + b.T)  # enforce exact symmetry
+    w, v = np.linalg.eigh(b)  # ascending eigenvalues
     coords = v[:, ::-1][:, :dims] * np.sqrt(np.maximum(w[::-1][:dims], 0.0))
-    return coords * np.where(coords[0] < 0, -1.0, 1.0)
+    return np.ldexp(coords * np.where(coords[0] < 0, -1.0, 1.0), e)
 
 
 def mds_to_csv(labels: Sequence[str], coords: np.ndarray,

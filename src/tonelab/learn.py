@@ -76,7 +76,7 @@ def decode_transcription(z: Sequence[float], beta: float = DEFAULT_BETA) -> Tran
     (round(z1), round(z3)); all others keep the middle point. Rounding is
     half-away-from-zero; digits are clamped to 1..5.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise InputError("beta must be positive")
     z1, z2, z3 = z
     if linearity_margin(z) < beta:
@@ -198,6 +198,8 @@ def train_tone_model(
     """
     if len(data) == 0:
         raise InputError("training data is empty")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     features = [_as_feature_array(x) for x, _ in data]
     labels = [y for _, y in data]
     k = features[0].shape[0]

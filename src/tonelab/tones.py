@@ -81,11 +81,11 @@ def _json(obj) -> str:
 @contextlib.contextmanager
 def _reading(path: str | os.PathLike, what: str = "file",
              error: type[InputError] = InputError, binary: bool = False) -> Iterator[io.IOBase]:
-    """Open a user's file for the block, as UTF-8 text or, if binary, as bytes. A file
-    that is missing, unreadable or not UTF-8 raises ``error`` naming what it is and its path."""
+    """Open a user's file for the block, as UTF-8 text less any leading BOM or, if binary,
+    as bytes. A file missing, unreadable or not UTF-8 raises ``error`` naming its kind and path."""
     try:
         with (open(path, "rb") if binary
-              else open(path, "r", encoding="utf-8", newline="")) as fh:
+              else open(path, "r", encoding="utf-8-sig", newline="")) as fh:
             yield fh
     except FileNotFoundError as exc:
         raise error(f"{what} not found: {path}") from exc

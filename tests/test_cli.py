@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -497,6 +498,7 @@ BAD_NUMBERS = [
     (["train", "--data", "t.tsv", "--out", "m.json", "--seed", "1"], "--feature-points",
      ["1", "0", "2.5"]),
     (["cluster-tones", "a.wav", "--model", "m.json"], "--min-samples", ["0", "-3", "x"]),
+    (["train", "--data", "t.tsv", "--out", "m.json"], "--seed", ["-1", "x"]),
 ]
 
 
@@ -600,6 +602,39 @@ def test_bad_input_exits_2_naming_the_path(argv, bad, tmp_path, capsys, corpus_t
     assert bad.format_map(paths) in captured.err
     assert "Traceback" not in captured.err
     assert not (tmp_path / "out.csv").exists()
+
+
+# Each text input in turn is {file}, given once as written and once with a
+# leading UTF-8 byte-order mark.
+BOM_INPUTS = {
+    "corpus": "dialect-mds --corpus {file}",
+    "gold": "dialect-cluster --corpus {corpus} --gold {file} --linkage mv",
+    "tokens": "dist --tokens-file {file}",
+    "wav-list": "cluster-tones --wav-list {file} --model {model}",
+    "manifest": "train --data {file} --out {out} --seed 1 --epochs 10",
+    "model": "transcribe {wav} --method model --model {file}",
+}
+
+
+@pytest.mark.parametrize("name", BOM_INPUTS)
+def test_text_inputs_may_start_with_a_byte_order_mark(name, tmp_path, capsys, corpus_tsv,
+                                                      rise_wav):
+    model = tmp_path / "model.json"
+    LinearToneModel(np.zeros((3, 20)), np.zeros(3)).save(model)
+    (tmp_path / "tokens.txt").write_text("41\n312\n", encoding="utf-8")
+    (tmp_path / "wavs.txt").write_text(f"{rise_wav}\n{rise_wav}\n", encoding="utf-8")
+    paths = {"corpus": corpus_tsv[0], "gold": corpus_tsv[1], "tokens": tmp_path / "tokens.txt",
+             "wav-list": tmp_path / "wavs.txt", "model": model}
+    plain = Path(make_manifest(tmp_path, per_class=1) if name == "manifest" else paths[name])
+    marked = tmp_path / f"bom-{plain.name}"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outputs = []
+    for given in (plain, marked):
+        argv = BOM_INPUTS[name].format(file=given, corpus=corpus_tsv[0], model=model,
+                                       wav=rise_wav, out=tmp_path / "out.json")
+        assert main(argv.split()) == 0, given
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_unknown_flag_fails(capsys):

@@ -229,15 +229,53 @@ def _huge_matrix():
     return DistanceMatrix(("a", "b", "c"), values)
 
 
-@pytest.mark.parametrize("linkage", LINKAGES)
+@pytest.mark.parametrize("linkage", ("sl", "cl", "ga", "wa"))
 def test_linkage_rejects_distances_whose_squares_overflow(linkage):
+    """The linkages that never square merge such distances without error;
+    test_huge_distances_cluster_and_embed_scaled checks all seven on them."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow RuntimeWarning either
-        if linkage in ("uc", "wc", "mv"):
-            with pytest.raises(InputError, match="overflow when squared"):
-                hierarchical_cluster(_huge_matrix(), linkage)
-        else:
-            assert hierarchical_cluster(_huge_matrix(), linkage).steps[0][:2] == (0, 1)
+        assert hierarchical_cluster(_huge_matrix(), linkage).steps[0][:2] == (0, 1)
+
+
+def _assert_scales_exactly(dm, k):
+    """Linkage merges and MDS coordinates of dm * 2**k are those of dm, with every
+    height and coordinate multiplied by exactly 2**k, and nothing warns."""
+    big = DistanceMatrix(dm.labels, np.ldexp(dm.values, k))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for linkage in LINKAGES:
+            want = [(a, b, math.ldexp(h, k), size)
+                    for a, b, h, size in hierarchical_cluster(dm, linkage).steps]
+            assert _exact(hierarchical_cluster(big, linkage).steps) == _exact(want), linkage
+        for dims in (1, 2):
+            coords = classical_mds(big, dims)
+            assert np.isfinite(coords).all()
+            assert (coords == np.ldexp(classical_mds(dm, dims), k)).all(), dims
+
+
+def test_tiny_distances_whose_squares_underflow_keep_their_heights():
+    base = np.array([[0.0, 1.0, 4.0, 9.0], [1.0, 0.0, 2.0, 6.0],
+                     [4.0, 2.0, 0.0, 3.0], [9.0, 6.0, 3.0, 0.0]])
+    tiny = DistanceMatrix(("a", "b", "c", "d"), np.ldexp(base, -540))
+    heights = [h for _a, _b, h, _size in hierarchical_cluster(tiny, "mv").steps]
+    assert heights == [math.ldexp(h, -540) for h in (1.0, 3.0, 7.968688725254614)]
+    _assert_scales_exactly(DistanceMatrix(tiny.labels, base), -540)
+
+
+@pytest.mark.parametrize("case", ["huge", "centred", "eigh"])
+def test_huge_distances_cluster_and_embed_scaled(case):
+    dm = _huge_matrix() if case == "huge" else _near_limit_matrix(case)
+    _assert_scales_exactly(DistanceMatrix(dm.labels, np.ldexp(dm.values, -512)), 512)
+
+
+@pytest.mark.parametrize("k", [-1000, -600, -540, 300, 500, 800])
+def test_distances_out_of_band_scale_exactly(k):
+    rng = np.random.default_rng(abs(k))
+    for n in (3, 8, 30):
+        for kind in ("int0-2", "deciles"):  # tie-heavy
+            _assert_scales_exactly(_seeded_matrix(rng, n, kind, False), k)
+        _assert_scales_exactly(_normal_points_matrix(n, n), k)  # Euclidean
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +389,11 @@ def test_linkage_bit_identical_on_categorical_survey_matrix():
 def compacted_linkage_steps(dm, linkage):
     """Frozen copy of the compacted-matrix loop the nearest-neighbour cache replaced:
     one masked argmin over all active pairs per merge, then row and column shifts."""
-    from tonelab.cluster import _lance_williams_update, _squared
+    from tonelab.cluster import _lance_williams_update
 
     n = len(dm)
     squared = linkage in ("uc", "wc", "mv")
-    work = _squared(dm) if squared else dm.values.copy()
+    work = dm.values * dm.values if squared else dm.values.copy()
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     ids = np.arange(n)
     sizes = np.ones(n, dtype=np.int64)
@@ -575,6 +613,8 @@ def test_dbscan_input_validation():
     with pytest.raises(InputError):
         dbscan([[0.0], [1.0]], eps=-1.0, min_samples=2)
     with pytest.raises(InputError):
+        dbscan([[0.0], [0.1]], eps=float("nan"), min_samples=1)
+    with pytest.raises(InputError):
         dbscan([[0.0], [1.0]], eps=0.5, min_samples=0)
     with pytest.raises(InputError):
         dbscan([], eps=0.5, min_samples=2)
@@ -669,15 +709,8 @@ def test_mds_stretched_circle_nearly_degenerate_top_eigenvalue(stretch, dims):
     assert np.allclose(embedded, exact, atol=1e-6)
 
 
-def test_mds_rejects_distances_whose_squares_overflow():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(InputError, match="overflow when squared"):
-            classical_mds(_huge_matrix(), 2)
-
-
 def _near_limit_matrix(case):
-    """Distances whose squares are finite but whose MDS overflows."""
+    """Distances whose squares are finite but whose unscaled MDS overflows."""
     if case == "centred":  # b + b.T overflows
         values = np.array([[0.0, 1.33, 1.33, 1.33], [1.33, 0.0, 0.87, 0.81],
                            [1.33, 0.87, 0.0, 0.21], [1.33, 0.81, 0.21, 0.0]]) * 1e154
@@ -687,17 +720,14 @@ def _near_limit_matrix(case):
     return DistanceMatrix(tuple(map(str, range(len(values)))), values)
 
 
-@pytest.mark.parametrize("case", ["centred", "eigh"])
+@pytest.mark.parametrize("case", ["eigh"])
 @pytest.mark.parametrize("dims", [1, 2])
 def test_mds_rejects_near_limit_distances(case, dims):
+    """Entries this close to the float limit embed to finite coordinates;
+    test_huge_distances_cluster_and_embed_scaled checks their values."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        try:
-            coords = classical_mds(_near_limit_matrix(case), dims)
-        except InputError as exc:
-            assert "centred squared distances overflow" in str(exc)
-        else:  # a LAPACK that does not overflow may return coordinates, but finite ones
-            assert case == "eigh" and np.isfinite(coords).all()
+        assert np.isfinite(classical_mds(_near_limit_matrix(case), dims)).all()
 
 
 def test_mds_dims_validation():

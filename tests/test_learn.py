@@ -163,6 +163,8 @@ def test_decode_rounds_half_away_from_zero():
 def test_decode_requires_positive_beta():
     with pytest.raises(InputError):
         decode_transcription((3.0, 3.0, 3.0), beta=0.0)
+    with pytest.raises(InputError):
+        decode_transcription((3.0, 3.0, 3.0), beta=float("nan"))
 
 
 def test_decode_clamps_out_of_range_values():
@@ -288,6 +290,9 @@ def test_train_input_validation():
               (np.zeros(5), parse_transcription("51"))]
     with pytest.raises(InputError):
         train_tone_model(ragged)
+    with pytest.raises(InputError, match="seed must be >= 0"):
+        train_tone_model([(np.zeros(4), parse_transcription("15")),
+                          (np.zeros(4), parse_transcription("51"))], seed=-1)
 
 
 def test_train_separable_synthetic_set():
