@@ -231,16 +231,43 @@ def _huge_matrix():
 
 @pytest.mark.parametrize("linkage", ("sl", "cl", "ga", "wa"))
 def test_linkage_rejects_distances_whose_squares_overflow(linkage):
-    """The linkages that never square merge such distances without error;
-    test_huge_distances_cluster_and_embed_scaled checks all seven on them."""
+    """The linkages that never square take distances up to the float limit, where
+    ga and wa would overflow adding two of them unscaled."""
+    base = DistanceMatrix(("a", "b", "c"), np.array([[0.0, 1.0, 1.5], [1.0, 0.0, 1.75],
+                                                     [1.5, 1.75, 0.0]]))
+    limit = DistanceMatrix(base.labels, np.ldexp(base.values, 1023))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow RuntimeWarning either
-        assert hierarchical_cluster(_huge_matrix(), linkage).steps[0][:2] == (0, 1)
+        steps = hierarchical_cluster(limit, linkage).steps
+    want = [(a, b, math.ldexp(h, 1023), size)
+            for a, b, h, size in hierarchical_cluster(base, linkage).steps]
+    assert _exact(steps) == _exact(want)
 
 
-def _assert_scales_exactly(dm, k):
-    """Linkage merges and MDS coordinates of dm * 2**k are those of dm, with every
-    height and coordinate multiplied by exactly 2**k, and nothing warns."""
+def test_wide_range_distances_keep_their_small_merges():
+    """A largest distance up to 2**500 is squared unscaled, so squares of distances
+    far smaller stay normal; linkages that never square do not scale at all."""
+    for small, large in ((1e-100, 1e100), (1e-150, 1e147)):
+        wide = np.array([[0.0, 1.0, 2.0, large], [1.0, 0.0, 1.5, large],
+                         [2.0, 1.5, 0.0, large], [large, large, large, 0.0]])
+        np.multiply(wide, small, out=wide, where=wide < 3)
+        dm = DistanceMatrix(("a", "b", "c", "d"), wide)
+        for linkage in ("uc", "wc", "mv"):
+            steps = hierarchical_cluster(dm, linkage).steps
+            assert steps[0] == (0, 1, small, 2) and steps[1][:2] == (2, 4), linkage
+    extreme = DistanceMatrix(("a", "b", "c"), np.array(
+        [[0.0, 2e-300, 1e-300], [2e-300, 0.0, 1e300], [1e-300, 1e300, 0.0]]))
+    for linkage in ("sl", "cl", "ga", "wa"):
+        assert hierarchical_cluster(extreme, linkage).steps[0] == (0, 2, 1e-300, 2), linkage
+
+
+def _assert_scales(dm, k, generic=False):
+    """Linkage merges of dm * 2**k are those of dm, with every height multiplied by
+    exactly 2**k, and nothing warns. MDS coordinates are exactly 2**k times those of
+    dm for k < 0. For k > 0 the centred squares may lie above 2**485, where LAPACK's
+    eigh rescales by a factor that is not a power of two: the embedding's eigenvalues
+    then agree to 1e-12 of the largest, and so do the coordinates if dm is generic (no
+    repeated eigenvalue among its top three, so that its eigenvectors are determined)."""
     big = DistanceMatrix(dm.labels, np.ldexp(dm.values, k))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -249,9 +276,15 @@ def _assert_scales_exactly(dm, k):
                     for a, b, h, size in hierarchical_cluster(dm, linkage).steps]
             assert _exact(hierarchical_cluster(big, linkage).steps) == _exact(want), linkage
         for dims in (1, 2):
-            coords = classical_mds(big, dims)
-            assert np.isfinite(coords).all()
-            assert (coords == np.ldexp(classical_mds(dm, dims), k)).all(), dims
+            got, want = classical_mds(big, dims), classical_mds(dm, dims)
+            if k < 0:
+                assert (got == np.ldexp(want, k)).all(), dims
+                continue
+            got = np.ldexp(got, -k)
+            eig, want_eig = (got ** 2).sum(axis=0), (want ** 2).sum(axis=0)
+            assert np.allclose(eig, want_eig, rtol=0, atol=1e-12 * want_eig.max()), dims
+            if generic:
+                assert np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max()), dims
 
 
 def test_tiny_distances_whose_squares_underflow_keep_their_heights():
@@ -260,13 +293,13 @@ def test_tiny_distances_whose_squares_underflow_keep_their_heights():
     tiny = DistanceMatrix(("a", "b", "c", "d"), np.ldexp(base, -540))
     heights = [h for _a, _b, h, _size in hierarchical_cluster(tiny, "mv").steps]
     assert heights == [math.ldexp(h, -540) for h in (1.0, 3.0, 7.968688725254614)]
-    _assert_scales_exactly(DistanceMatrix(tiny.labels, base), -540)
+    _assert_scales(DistanceMatrix(tiny.labels, base), -540)
 
 
 @pytest.mark.parametrize("case", ["huge", "centred", "eigh"])
 def test_huge_distances_cluster_and_embed_scaled(case):
     dm = _huge_matrix() if case == "huge" else _near_limit_matrix(case)
-    _assert_scales_exactly(DistanceMatrix(dm.labels, np.ldexp(dm.values, -512)), 512)
+    _assert_scales(DistanceMatrix(dm.labels, np.ldexp(dm.values, -512)), 512)
 
 
 @pytest.mark.parametrize("k", [-1000, -600, -540, 300, 500, 800])
@@ -274,8 +307,8 @@ def test_distances_out_of_band_scale_exactly(k):
     rng = np.random.default_rng(abs(k))
     for n in (3, 8, 30):
         for kind in ("int0-2", "deciles"):  # tie-heavy
-            _assert_scales_exactly(_seeded_matrix(rng, n, kind, False), k)
-        _assert_scales_exactly(_normal_points_matrix(n, n), k)  # Euclidean
+            _assert_scales(_seeded_matrix(rng, n, kind, False), k)
+        _assert_scales(_normal_points_matrix(n, n), k, generic=True)  # Euclidean
 
 
 # ---------------------------------------------------------------------------
@@ -723,8 +756,8 @@ def _near_limit_matrix(case):
 @pytest.mark.parametrize("case", ["eigh"])
 @pytest.mark.parametrize("dims", [1, 2])
 def test_mds_rejects_near_limit_distances(case, dims):
-    """Entries this close to the float limit embed to finite coordinates;
-    test_huge_distances_cluster_and_embed_scaled checks their values."""
+    """Entries this close to the float limit, whose unscaled eigenvalues overflow,
+    embed to finite coordinates."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.isfinite(classical_mds(_near_limit_matrix(case), dims)).all()
