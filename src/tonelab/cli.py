@@ -77,15 +77,16 @@ def _read_token_file(path: str) -> list:
 def _cmd_dist(args: argparse.Namespace) -> int:
     from . import tones
 
+    modes = [len(args.tokens) == 2, args.tokens_file is not None, args.matrix]
+    if modes.count(True) != 1 or len(args.tokens) not in (0, 2):
+        raise InputError("give exactly one of: two transcription tokens, --tokens-file, --matrix")
     if args.matrix:
         tones._write_text(tones.tone_distance_database().to_csv(), args.out)
         return 0
-    if args.tokens_file:
+    if args.tokens_file is not None:
         matrix = tones.build_distance_matrix(_read_token_file(args.tokens_file))
         tones._write_text(matrix.to_csv(), args.out)
         return 0
-    if len(args.tokens) != 2:
-        raise InputError("provide two transcription tokens, --tokens-file, or --matrix")
     l1 = tones.parse_transcription(args.tokens[0])
     l2 = tones.parse_transcription(args.tokens[1])
     tones._write_text(f"{tones.tone_distance(l1, l2):.6f}\n", args.out)
@@ -361,4 +362,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left early, as `| head` does; stdout goes to
+        # devnull so that Python's flush at exit cannot fail again onto stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    raise SystemExit(status)

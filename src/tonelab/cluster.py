@@ -14,8 +14,11 @@ uc/wc/mv run on squared dissimilarities internally and report merge heights
 as the square root of the updated value. Each merge joins the active pair of
 cluster ids i < j with the least height d[i, j], read from the upper triangle
 only (DistanceMatrix allows 1e-9 of asymmetry); ties at equal height go to the
-smallest (i, j) in row-major order. All routines are deterministic. Near the
-float limits, distances are scaled by an exact power of two before summing.
+smallest (i, j) in row-major order. All routines are deterministic. Linkage and
+MDS scale every distance by one exact power of two that puts the largest in
+[2**(top-1), 2**top), and scale results back: top is 1000 for sl/cl/ga/wa (2**24
+of room for ga's sums), 480 before squaring for uc/wc/mv (2**63 for Ward's sums)
+and 240 for MDS (centred squares below 2**485, where LAPACK's eigh rescales inexactly).
 """
 from __future__ import annotations
 
@@ -91,17 +94,10 @@ def _lance_williams_update(linkage: str, d_ik: np.ndarray, d_jk: np.ndarray, d_i
     return ((n_i + n_k) * d_ik + (n_j + n_k) * d_jk - n_k * d_ij) / n_all
 
 
-def _scaled(d: DistanceMatrix, power: int) -> tuple[np.ndarray, int]:
-    """((d * 2**-e) ** power, e): e is 0 unless the largest d is above 2**1000, or 2**480
-    when squared, where e brings it just below so that sums over billions of items stay
-    finite, or is squared and below 2**-200, where e puts it in [0.5, 1) against underflow."""
-    top = float(d.values.max())
-    e, cap = math.frexp(top)[1], 1000 if power == 1 else 480
-    if top > 2.0 ** cap:
-        e -= cap
-    elif power == 1 or top >= 2.0 ** -200:
-        e = 0
-    return np.ldexp(d.values, -e) ** power, e
+def _scaled(d: DistanceMatrix, top: int) -> tuple[np.ndarray, int]:
+    """(d * 2**-e, e), with e chosen so that the largest d lands in [2**(top-1), 2**top)."""
+    e = math.frexp(float(d.values.max()))[1] - top
+    return np.ldexp(d.values, -e), e
 
 
 def hierarchical_cluster(d: DistanceMatrix, linkage: str) -> Dendrogram:
@@ -120,8 +116,9 @@ def hierarchical_cluster(d: DistanceMatrix, linkage: str) -> Dendrogram:
     # cache[c] is the least work[slot[c], slot[k]] over active ids k > c and nbr[c]
     # the first such k. A stale id lost its neighbour to a merge: its cache is then
     # only a lower bound, and it is rescanned when it comes first.
-    # sl and cl only pick entries, which can neither round nor overflow
-    work, e = (d.values.copy(), 0) if linkage in ("sl", "cl") else _scaled(d, 2 if squared else 1)
+    work, e = _scaled(d, 480 if squared else 1000)
+    if squared:
+        work *= work
     slot = np.arange(2 * n - 1)
     sizes = np.ones(n, dtype=np.int64)  # by slot
     alive = np.zeros(2 * n - 1, dtype=bool)
@@ -277,7 +274,8 @@ def classical_mds(d: DistanceMatrix, dims: int) -> np.ndarray:
     if n < dims + 1:
         raise InputError(f"need at least {dims + 1} items for a {dims}-D embedding")
 
-    d2, e = _scaled(d, 2)
+    d2, e = _scaled(d, 240)
+    d2 *= d2
     centering = np.eye(n) - np.full((n, n), 1.0 / n)
     b = -0.5 * centering @ d2 @ centering
     b = 0.5 * (b + b.T)  # enforce exact symmetry

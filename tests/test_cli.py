@@ -181,6 +181,17 @@ def test_tone_commands_load_no_audio_or_survey_modules(argv, tmp_path):
     assert ("numpy" in loaded) == ("--matrix" in argv)
 
 
+def test_closed_stdout_exits_1_without_a_traceback():
+    """A reader that stops early, as `| head -c 30` does, closes the pipe while the
+    200 kB matrix is still being written."""
+    child = subprocess.Popen([sys.executable, "-m", "tonelab", "dist", "--matrix"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert child.stdout.read(30) == b"label,11,12,13,14,15,21,22,23,"
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (1, b"")
+
+
 @pytest.mark.parametrize("sub", ["dialect-cluster", "dialect-mds"])
 def test_survey_commands_load_no_audio_modules(sub, corpus_tsv):
     loaded = _modules_loaded_by(sub, "--corpus", corpus_tsv[0])
@@ -543,7 +554,7 @@ BAD_MODELS = {
     "no_format": {"bias": [0.0] * 3},
 }
 
-# (argv, the path stderr must name). {missing} lies in a missing directory and
+# (argv, the path or text stderr must name). {missing} lies in a missing directory and
 # {under_file} under a regular file; {dir} is a directory and {latin1} is not UTF-8;
 # {model} is a valid model.
 BAD_INPUTS = [
@@ -579,6 +590,10 @@ BAD_INPUTS = [
     # a WAV path that is a directory
     ("transcribe {dir}", "{dir}"),
     ("cluster-tones {dir} --model {model} --out-csv {out}", "{dir}"),
+    # dist takes exactly one mode, checked before its token file is read
+    ("dist 41 312 --matrix -o {out}", "exactly one of"),
+    ("dist --tokens-file {nope} 41 312 -o {out}", "exactly one of"),
+    ("dist --matrix --tokens-file {nope} -o {out}", "exactly one of"),
 ]
 
 

@@ -245,8 +245,9 @@ def test_linkage_rejects_distances_whose_squares_overflow(linkage):
 
 
 def test_wide_range_distances_keep_their_small_merges():
-    """A largest distance up to 2**500 is squared unscaled, so squares of distances
-    far smaller stay normal; linkages that never square do not scale at all."""
+    """The largest distance is scaled to just below 2**480 before squaring, and to
+    just below 2**1000 by the linkages that never square, so the squares of distances
+    far smaller stay normal and the smallest entries keep their merges."""
     for small, large in ((1e-100, 1e100), (1e-150, 1e147)):
         wide = np.array([[0.0, 1.0, 2.0, large], [1.0, 0.0, 1.5, large],
                          [2.0, 1.5, 0.0, large], [large, large, large, 0.0]])
@@ -261,13 +262,10 @@ def test_wide_range_distances_keep_their_small_merges():
         assert hierarchical_cluster(extreme, linkage).steps[0] == (0, 2, 1e-300, 2), linkage
 
 
-def _assert_scales(dm, k, generic=False):
+def _assert_scales(dm, k):
     """Linkage merges of dm * 2**k are those of dm, with every height multiplied by
-    exactly 2**k, and nothing warns. MDS coordinates are exactly 2**k times those of
-    dm for k < 0. For k > 0 the centred squares may lie above 2**485, where LAPACK's
-    eigh rescales by a factor that is not a power of two: the embedding's eigenvalues
-    then agree to 1e-12 of the largest, and so do the coordinates if dm is generic (no
-    repeated eigenvalue among its top three, so that its eigenvectors are determined)."""
+    exactly 2**k, MDS coordinates are exactly 2**k times those of dm, and nothing
+    warns: both scale their input to the same target whatever k is."""
     big = DistanceMatrix(dm.labels, np.ldexp(dm.values, k))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -277,14 +275,7 @@ def _assert_scales(dm, k, generic=False):
             assert _exact(hierarchical_cluster(big, linkage).steps) == _exact(want), linkage
         for dims in (1, 2):
             got, want = classical_mds(big, dims), classical_mds(dm, dims)
-            if k < 0:
-                assert (got == np.ldexp(want, k)).all(), dims
-                continue
-            got = np.ldexp(got, -k)
-            eig, want_eig = (got ** 2).sum(axis=0), (want ** 2).sum(axis=0)
-            assert np.allclose(eig, want_eig, rtol=0, atol=1e-12 * want_eig.max()), dims
-            if generic:
-                assert np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max()), dims
+            assert (got == np.ldexp(want, k)).all(), dims
 
 
 def test_tiny_distances_whose_squares_underflow_keep_their_heights():
@@ -296,19 +287,36 @@ def test_tiny_distances_whose_squares_underflow_keep_their_heights():
     _assert_scales(DistanceMatrix(tiny.labels, base), -540)
 
 
+def test_squares_far_below_the_largest_distance_keep_their_merges():
+    """Squared unscaled, entries near 1e-170 beside a largest distance of 1 would
+    underflow to 0 and leave their merges to the tie rule."""
+    dm = DistanceMatrix(("a", "b", "c", "d"), np.array(
+        [[0, 2e-170, 1e-170, 1], [2e-170, 0, 3e-170, 1], [1e-170, 3e-170, 0, 1], [1, 1, 1, 0]]))
+    for linkage in LINKAGES:
+        steps = hierarchical_cluster(dm, linkage).steps
+        assert [s[:2] for s in steps[:2]] == [(0, 2), (1, 4)], linkage
+        assert steps[0][2] == 1e-170 and steps[1][2] > 0, linkage
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dims in (1, 2):
+            assert np.isfinite(classical_mds(dm, dims)).all()
+        assert (classical_mds(dm, 1)[:3] != 0).all()
+
+
 @pytest.mark.parametrize("case", ["huge", "centred", "eigh"])
 def test_huge_distances_cluster_and_embed_scaled(case):
     dm = _huge_matrix() if case == "huge" else _near_limit_matrix(case)
     _assert_scales(DistanceMatrix(dm.labels, np.ldexp(dm.values, -512)), 512)
 
 
-@pytest.mark.parametrize("k", [-1000, -600, -540, 300, 500, 800])
+@pytest.mark.parametrize("k", [-1000, -600, -540, -150, -20, 20, 150, 250, 300, 500, 800,
+                               1000])
 def test_distances_out_of_band_scale_exactly(k):
     rng = np.random.default_rng(abs(k))
     for n in (3, 8, 30):
         for kind in ("int0-2", "deciles"):  # tie-heavy
             _assert_scales(_seeded_matrix(rng, n, kind, False), k)
-        _assert_scales(_normal_points_matrix(n, n), k, generic=True)  # Euclidean
+        _assert_scales(_normal_points_matrix(n, n), k)  # Euclidean
 
 
 # ---------------------------------------------------------------------------
