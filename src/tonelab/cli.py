@@ -81,15 +81,16 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     if modes.count(True) != 1 or len(args.tokens) not in (0, 2):
         raise InputError("give exactly one of: two transcription tokens, --tokens-file, --matrix")
     if args.matrix:
-        tones._write_text(tones.tone_distance_database().to_csv(), args.out)
-        return 0
-    if args.tokens_file is not None:
+        matrix = tones.tone_distance_database()
+    elif args.tokens_file is not None:
         matrix = tones.build_distance_matrix(_read_token_file(args.tokens_file))
-        tones._write_text(matrix.to_csv(), args.out)
+    else:
+        l1 = tones.parse_transcription(args.tokens[0])
+        l2 = tones.parse_transcription(args.tokens[1])
+        tones._write_text(f"{tones.tone_distance(l1, l2):.6f}\n", args.out)
         return 0
-    l1 = tones.parse_transcription(args.tokens[0])
-    l2 = tones.parse_transcription(args.tokens[1])
-    tones._write_text(f"{tones.tone_distance(l1, l2):.6f}\n", args.out)
+    with tones._output(args.out) as fh:  # rows go out as formatted, not as one text
+        matrix.to_csv(fh)
     return 0
 
 
@@ -365,8 +366,13 @@ def entrypoint() -> None:
     try:
         status = main()
         sys.stdout.flush()
-    except BrokenPipeError:  # the reader left early, as `| head` does; stdout goes to
-        # devnull so that Python's flush at exit cannot fail again onto stderr
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # the reader left early, as `| head` does
         status = 1
+    except OSError as exc:  # the final flush: other I/O errors reach main as InputError
+        print(f"tonelab: error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        status = 2
+    else:
+        raise SystemExit(status)
+    # stdout goes to devnull so that Python's flush at exit cannot fail again onto stderr
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     raise SystemExit(status)

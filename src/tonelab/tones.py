@@ -19,7 +19,7 @@ import struct
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import InputError, TranscriptionError
 
@@ -30,37 +30,80 @@ PITCH_LEVELS = (1, 2, 3, 4, 5)
 CURVE_DOMAIN = (1.0, 3.0)
 
 
-def _write_text(text: str, path: str | os.PathLike | None) -> str:
-    """Write text to path, or to stdout if path is None; return text.
+_BATCH = 1 << 16  # characters per write: encoding a large output whole would add a full copy
 
-    A file that cannot be written raises InputError naming its path."""
-    # 64 KiB slices: encoding a large output whole would add a full copy to peak memory.
+
+@contextlib.contextmanager
+def _output(path: str | os.PathLike | None) -> Iterator[TextIO]:
+    """Open the output for the block: sys.stdout if path is None, left open after it,
+    or else the file at path, written as UTF-8. An OSError other than BrokenPipeError,
+    from the open or from a write in the block, raises InputError naming the path
+    ("stdout" for None); a broken pipe is left to the caller, whose reader has gone."""
     try:
         with (contextlib.nullcontext(sys.stdout) if path is None
               else open(path, "w", encoding="utf-8")) as fh:
-            for start in range(0, len(text), 1 << 16):
-                fh.write(text[start : start + (1 << 16)])
+            yield fh
+    except BrokenPipeError:
+        raise
     except OSError as exc:
-        if path is None:
-            raise
-        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        name = "stdout" if path is None else path
+        raise InputError(f"cannot write {name}: {exc.strerror or exc}") from exc
+
+
+def _write_all(pieces: Iterable[str], fh: TextIO) -> None:
+    """Write the concatenated pieces to an open text stream in slices of _BATCH
+    characters, the last one shorter; at most _BATCH characters and one piece wait."""
+    batch: list[str] = []
+    size = 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _BATCH:
+            text = "".join(batch)
+            cut = size - size % _BATCH
+            for start in range(0, cut, _BATCH):
+                fh.write(text[start : start + _BATCH])
+            batch, size = [text[cut:]], size - cut
+    if size:
+        fh.write("".join(batch))
+
+
+def _write_text(text: str, path: str | os.PathLike | None) -> str:
+    """Write text through _output to path, or to stdout if path is None, in slices
+    of _BATCH characters; return text. A file that cannot be written, or stdout that
+    cannot take the text, raises InputError naming it."""
+    with _output(path) as fh:
+        _write_all((text,), fh)
     return text
 
 
 def _csv(header: Sequence[str], rows: Iterable[Sequence],
-         path: str | os.PathLike | None = None) -> str:
+         out: str | os.PathLike | TextIO | None = None) -> str | None:
     """The package's one CSV format: a header row, then one line per row, cells
     joined by commas, each line ended by a newline. A float cell (numpy's float64
     included) is written with 6 decimals, any other cell with str(), so a str cell
-    may carry columns already joined. Returns the text, also written to path if given."""
-    # One flat list and one join: joining each row first would hold a second copy.
-    parts: list[str] = []
-    for row in itertools.chain((header,), rows):
-        for cell in row:
-            parts += (f"{cell:.6f}" if isinstance(cell, float) else str(cell), ",")
-        parts[-1] = "\n"
+    may carry columns already joined.
+
+    With out None or a path, returns the text, also written to the path if given.
+    With out an open text stream, writes each line to it as the line is formatted,
+    in batches of at most _BATCH characters, and returns None."""
+    parts = _csv_parts(header, rows)
+    if hasattr(out, "write"):
+        _write_all(parts, out)
+        return None
+    # One join of the cells: joining each row first would hold a second copy.
     text = "".join(parts)
-    return text if path is None else _write_text(text, path)
+    return text if out is None else _write_text(text, out)
+
+
+def _csv_parts(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
+    """_csv's text as its formatted cells, the commas between them and the newlines."""
+    for row in itertools.chain((header,), rows):
+        for i, cell in enumerate(row):
+            if i:
+                yield ","
+            yield f"{cell:.6f}" if isinstance(cell, float) else str(cell)
+        yield "\n"
 
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]').search
@@ -315,6 +358,9 @@ class _SixDecimals(dict):
         return text
 
 
+_ROW_BLOCK = 64  # rows per symmetry check: keeps its temporary at 64 x n
+
+
 @dataclass(frozen=True)
 class DistanceMatrix:
     """Symmetric nonnegative distance matrix with labelled rows."""
@@ -338,16 +384,21 @@ class DistanceMatrix:
             raise InputError("distance matrix contains negative entries")
         if np.any(np.diag(v) != 0):
             raise InputError("distance matrix diagonal must be zero")
-        asym = v - v.T  # |v - v.T| in place: one n x n temporary
-        np.abs(asym, out=asym)
-        if not (asym <= 1e-9).all():
-            raise InputError("distance matrix must be symmetric")
+        for start in range(0, n, _ROW_BLOCK):  # |v - v.T| one row block at a time
+            asym = v[start : start + _ROW_BLOCK] - v[:, start : start + _ROW_BLOCK].T
+            np.abs(asym, out=asym)
+            if not (asym <= 1e-9).all():
+                raise InputError("distance matrix must be symmetric")
 
     def __len__(self) -> int:
         return len(self.labels)
 
-    def to_csv(self, path: str | os.PathLike | None = None) -> str:
-        """Serialize as CSV: header row of labels, then labelled rows, 6 decimals."""
+    def to_csv(self, path: str | os.PathLike | TextIO | None = None) -> str | None:
+        """Serialize as CSV: header row of labels, then labelled rows, 6 decimals.
+
+        Returns the text, also written to path if one is given. Given an open text
+        stream instead, writes the rows to it as they are joined, in batches of at
+        most 64 KiB, and returns None: then the text of only the distinct rows is held."""
         import numpy as np
 
         # Each distinct row is formatted once, keyed on its bits, and repeated rows

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -91,12 +92,33 @@ def test_dist_tokens_file(tmp_path, capsys):
     assert out[1] == "41,0.000000,2.268354"
 
 
+def test_dist_csv_equals_the_per_entry_writer(tmp_path, capsys):
+    # dist streams the rows it formats: stdout, -o and --matrix against the frozen writer
+    from tonelab import build_distance_matrix, parse_transcription, tone_distance_database
+    from .test_tones import ALL_TOKENS, reference_csv
+
+    tokens = [ALL_TOKENS[i] for i in np.random.default_rng(602).integers(0, 150, 300)]
+    path = tmp_path / "tokens.txt"
+    path.write_text("\n".join(tokens) + "\n", encoding="utf-8")
+    expected = reference_csv(build_distance_matrix(list(map(parse_transcription, tokens))))
+    assert main(["dist", "--tokens-file", str(path)]) == 0
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "d.csv"
+    assert main(["dist", "--tokens-file", str(path), "-o", str(out)]) == 0
+    assert out.read_bytes() == expected.encode("utf-8")
+    assert main(["dist", "--matrix"]) == 0
+    assert capsys.readouterr().out == reference_csv(tone_distance_database())
+
+
 def test_dist_tokens_file_errors_name_their_line(tmp_path, capsys):
     tokens = tmp_path / "tokens.txt"
     tokens.write_text("41\n\n 61 \n", encoding="utf-8")
-    assert main(["dist", "--tokens-file", str(tokens)]) == 2
-    assert capsys.readouterr().err == (f"tonelab: error: {tokens}:3: invalid transcription "
-                                       "token '61': expected 2-3 digits in 1..5\n")
+    out = tmp_path / "d.csv"
+    for to_file in ([], ["-o", str(out)]):  # nothing written, to stdout or to -o
+        assert main(["dist", "--tokens-file", str(tokens), *to_file]) == 2
+        assert capsys.readouterr() == ("", f"tonelab: error: {tokens}:3: invalid transcription "
+                                           "token '61': expected 2-3 digits in 1..5\n")
+    assert not out.exists()
     tokens.write_text("\n  \n\n", encoding="utf-8")
     assert main(["dist", "--tokens-file", str(tokens)]) == 2
     assert capsys.readouterr().err == f"tonelab: error: token file {tokens} contains no tokens\n"
@@ -190,6 +212,26 @@ def test_closed_stdout_exits_1_without_a_traceback():
     child.stdout.close()
     _, err = child.communicate(timeout=60)
     assert (child.returncode, err) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("args", [["41", "312"], ["--matrix"], ["--tokens-file", "TOKENS"]],
+                         ids=["pair", "matrix", "tokens-file"])
+def test_full_stdout_exits_2_naming_stdout(args, unbuffered, tmp_path):
+    """Unbuffered, the write itself fails; buffered, a short output fails only in the
+    final flush. Either way one error line, exit 2, and no failure at exit."""
+    tokens = tmp_path / "tokens.txt"
+    tokens.write_text("41\n312\n", encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [str(tokens) if a == "TOKENS" else a for a in args]
+    with open("/dev/full", "wb") as full:
+        child = subprocess.run([sys.executable, "-m", "tonelab", "dist", *argv], stdout=full,
+                               stderr=subprocess.PIPE, env=env, timeout=60)
+    assert (child.returncode, child.stderr) == (
+        2, b"tonelab: error: cannot write stdout: No space left on device\n")
 
 
 @pytest.mark.parametrize("sub", ["dialect-cluster", "dialect-mds"])

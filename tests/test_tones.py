@@ -308,6 +308,19 @@ def test_matrix_validation():
         DistanceMatrix(("a", "b"), np.array([[1.0, 2.0], [2.0, 1.0]]))  # diagonal
     with pytest.raises(InputError):
         DistanceMatrix(("a",), np.array([[0.0, 0.0]]))  # shape
+    # symmetry is checked in blocks of 64 rows: entries in a partial last block,
+    # and sizes at and just past one block
+    for n, (i, j) in ((130, (129, 0)), (130, (129, 128)), (64, (63, 62)), (65, (64, 63))):
+        v = _random_matrix(n, n).values.copy()
+        DistanceMatrix(tuple(map(str, range(n))), v)
+        v[i, j] += 1e-6
+        with pytest.raises(InputError, match="symmetric"):
+            DistanceMatrix(tuple(map(str, range(n))), v)
+    # each error keeps its order: a non-finite entry is reported before asymmetry
+    v = _random_matrix(70, 1).values.copy()
+    v[69, 0] = np.nan
+    with pytest.raises(InputError, match="non-finite"):
+        DistanceMatrix(tuple(map(str, range(70))), v)
 
 
 def test_matrix_csv_format():
@@ -374,6 +387,56 @@ def test_csv_byte_identical_to_per_entry_writer(which, tmp_path):
     if which == "signed-zero-rows":
         assert m.to_csv().splitlines()[1:3] == ["a,0.000000,0.000000,1.000000",
                                                 "b,-0.000000,0.000000,1.000000"]
+
+
+class _Writes:
+    """A text sink that keeps each write, or only counts characters."""
+
+    def __init__(self, keep: bool = True) -> None:
+        self.keep, self.parts, self.chars = keep, [], 0
+
+    def write(self, text: str) -> int:
+        self.chars += len(text)
+        if self.keep:
+            self.parts.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("which", CSV_CASES)
+def test_csv_to_a_stream_writes_what_the_text_holds(which):
+    m = CSV_CASES[which]()
+    sink = _Writes()
+    assert m.to_csv(sink) is None
+    assert "".join(sink.parts) == m.to_csv()
+    assert max(map(len, sink.parts)) <= 1 << 16
+
+
+def _peak_mib(call) -> float:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_matrix_validation_memory_stays_a_row_block():
+    # the values themselves (7.6 MiB) exist before the measurement; a whole
+    # |v - v.T| temporary would add as much again
+    v = _random_matrix(1000, 4).values
+    labels = tuple(map(str, range(1000)))
+    assert _peak_mib(lambda: DistanceMatrix(labels, v)) < 2.0
+
+
+def test_csv_memory_streamed_and_joined():
+    m = CSV_CASES["seeded-600"]()
+    text = m.to_csv()  # 3.1 MiB; one-time allocations happen outside the measurements
+    sink = _Writes(keep=False)
+    assert _peak_mib(lambda: m.to_csv(sink)) < 2.5
+    assert sink.chars == len(text)
+    # the text keeps its one join of cells: a join of per-line strings holds each line too
+    del text
+    assert _peak_mib(m.to_csv) < 4.6
 
 
 def test_csv_quotes_labels_with_commas_quotes_or_line_breaks():
