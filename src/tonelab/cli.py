@@ -254,8 +254,18 @@ def _cmd_dialect_mds(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse ignores a failed write of --help or --version; let it reach entrypoint.
+    # add_subparsers makes the subcommand parsers of this class too.
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tonelab",
         description="Tone transcription distances, automatic transcription, "
                     "and cross-dialect tone analysis.",
@@ -364,7 +374,10 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     try:
-        status = main()
+        try:
+            status = main()
+        except SystemExit as exc:  # argparse exits after --help, --version or a usage error
+            status = exc.code
         sys.stdout.flush()
     except BrokenPipeError:  # the reader left early, as `| head` does
         status = 1

@@ -12,18 +12,21 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from . import cluster as clustering
 from . import pitch as pitchmod
 from ._defaults import DEFAULT_BETA
 from .errors import InputError, naming
 from .tones import Transcription, _json, _reading, _write_text
+
+if TYPE_CHECKING:
+    from .cluster import ClusterAssignment
 
 PitchTriple = tuple[float, float, float]
 
@@ -181,6 +184,60 @@ def embed(model: LinearToneModel, x) -> PitchTriple:
     return (float(z[0]), float(z[1]), float(z[2]))
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, mult: int):
+    """One of SeedSequence's 32-bit hashes; the constant advances on every call."""
+    def hashed(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hashed
+
+
+def _mix(x: int, y: int) -> int:
+    value = 0xCA01F9DD * x - 0x4973F715 * y & _M32
+    return value ^ value >> 16
+
+
+def _uniform_draws(seed: int, count: int, low: float, high: float) -> list[float]:
+    """The first count values of numpy's default_rng(seed).uniform(low, high), bit for bit.
+
+    SeedSequence hashes the seed's little-endian 32-bit words into a 4-word
+    pool, and generate_state(4, uint64) expands the pool into PCG64's
+    128-bit initstate and initseq. Each draw is a 64-bit XSL-RR output whose
+    top 53 bits make a double in [0, 1). Pure Python, so that train does not
+    load numpy's random package (~6 MB) and the model bytes for a seed do
+    not depend on how the installed numpy maps its stream to uniform().
+    """
+    words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:  # seeds of 2**128 and above
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    expand = _hasher(0x8B51F9DD, 0x58F38DED)
+    halves = [expand(pool[i % 4]) for i in range(8)]
+    s0, s1, s2, s3 = (halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2))
+    inc = (s2 << 64 | s3) << 1 & _M128 | 1
+    state = (inc + (s0 << 64 | s1)) * _PCG64_MULT + inc & _M128  # pcg64_set_seed
+    out = []
+    for _ in range(count):
+        state = state * _PCG64_MULT + inc & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _M64
+        out.append(low + (high - low) * ((x >> 11) * 2.0 ** -53))
+    return out
+
+
 def train_tone_model(
     data: Sequence[tuple[object, Transcription]],
     *,
@@ -191,10 +248,11 @@ def train_tone_model(
 ) -> LinearToneModel:
     """Fit a LinearToneModel by full-batch subgradient descent on pitch_loss.
 
-    Deterministic for a fixed seed: weights and bias initialize from seeded
-    uniform(-0.1, 0.1) draws. Since the loss is piecewise linear the descent
-    is not monotone; the parameters with the lowest observed loss are
-    returned, so the final training loss never exceeds the initial one.
+    Deterministic for a fixed seed: weights, then bias, take the first 3K+3
+    draws of numpy's default_rng(seed).uniform(-0.1, 0.1). Since the loss is
+    piecewise linear the descent is not monotone; the parameters with the
+    lowest observed loss are returned, so the final training loss never
+    exceeds the initial one.
     """
     if len(data) == 0:
         raise InputError("training data is empty")
@@ -212,9 +270,8 @@ def train_tone_model(
     x_mat = np.stack(features)  # (n, K)
     targets = np.array([_label_points(y) for y in labels])  # (n, 3)
 
-    rng = np.random.default_rng(seed)
-    weights = rng.uniform(-0.1, 0.1, size=(3, k))
-    bias = rng.uniform(-0.1, 0.1, size=3)
+    draws = np.array(_uniform_draws(operator.index(seed), 3 * k + 3, -0.1, 0.1))
+    weights, bias = draws[:-3].reshape(3, k), draws[-3:]
 
     def forward(w, b):
         u = x_mat @ w.T + b  # (n, 3)
@@ -246,7 +303,7 @@ def train_tone_model(
 class ToneClusteringResult:
     """Discovered tone categories for a set of single-syllable clips."""
 
-    assignment: clustering.ClusterAssignment
+    assignment: ClusterAssignment
     decoded: tuple[Transcription, ...]
     categories: tuple[tuple[int, Transcription], ...]  # (cluster id, representative)
     noise: tuple[int, ...]
@@ -294,6 +351,8 @@ def tone_clustering_pipeline(
         decoded.append(decode_transcription(z, beta))
     if not triples:
         raise InputError("tone clustering needs at least one clip")
+
+    from . import cluster as clustering  # only this pipeline clusters; train need not load it
 
     assignment = clustering.dbscan(np.array(triples), eps, min_samples)
     categories = []

@@ -174,10 +174,10 @@ def test_transcribe_imports_no_scipy(rise_wav):
 
 
 def _modules_loaded_by(*argv):
-    """The numpy and tonelab.* modules a child has loaded after main(argv)."""
+    """The numpy, numpy.random and tonelab.* modules a child has loaded after main(argv)."""
     code = ("import json, sys\nfrom tonelab.cli import main\n"
             "try:\n    main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
-            "print(json.dumps([m for m in sys.modules if m in ('numpy', 'tonelab') "
+            "print(json.dumps([m for m in sys.modules if m in ('numpy', 'numpy.random', 'tonelab') "
             "or m.startswith('tonelab.')]))")
     out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                          text=True, check=True).stdout
@@ -216,11 +216,13 @@ def test_closed_stdout_exits_1_without_a_traceback():
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-@pytest.mark.parametrize("args", [["41", "312"], ["--matrix"], ["--tokens-file", "TOKENS"]],
-                         ids=["pair", "matrix", "tokens-file"])
+@pytest.mark.parametrize("args", [["dist", "41", "312"], ["dist", "--matrix"],
+                                  ["dist", "--tokens-file", "TOKENS"], ["--help"], ["--version"]],
+                         ids=["pair", "matrix", "tokens-file", "help", "version"])
 def test_full_stdout_exits_2_naming_stdout(args, unbuffered, tmp_path):
     """Unbuffered, the write itself fails; buffered, a short output fails only in the
-    final flush. Either way one error line, exit 2, and no failure at exit."""
+    final flush. Either way one error line, exit 2, and no failure at exit. argparse
+    prints --help and --version itself, and would ignore a failed write."""
     tokens = tmp_path / "tokens.txt"
     tokens.write_text("41\n312\n", encoding="utf-8")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -228,7 +230,7 @@ def test_full_stdout_exits_2_naming_stdout(args, unbuffered, tmp_path):
         env["PYTHONUNBUFFERED"] = "1"
     argv = [str(tokens) if a == "TOKENS" else a for a in args]
     with open("/dev/full", "wb") as full:
-        child = subprocess.run([sys.executable, "-m", "tonelab", "dist", *argv], stdout=full,
+        child = subprocess.run([sys.executable, "-m", "tonelab", *argv], stdout=full,
                                stderr=subprocess.PIPE, env=env, timeout=60)
     assert (child.returncode, child.stderr) == (
         2, b"tonelab: error: cannot write stdout: No space left on device\n")
@@ -306,6 +308,18 @@ def test_train_zero_epochs_keeps_seeded_init(tmp_path, capsys):
     rng = np.random.default_rng(9)
     assert np.allclose(model.weights, rng.uniform(-0.1, 0.1, (3, 20)), atol=1e-15)
     assert np.allclose(model.bias, rng.uniform(-0.1, 0.1, 3), atol=1e-15)
+
+
+def test_train_loads_no_numpy_random_or_cluster(tmp_path):
+    """train draws its initial weights in pure Python; only cluster-tones clusters."""
+    manifest = make_manifest(tmp_path, per_class=1)
+    model = str(tmp_path / "model.json")
+    loaded = _modules_loaded_by("train", "--data", manifest, "--out", model, "--seed", "3",
+                                "--epochs", "5")
+    assert {"tonelab.learn", "tonelab.pitch"} <= loaded
+    assert not loaded & {"numpy.random", "tonelab.cluster"}
+    assert "tonelab.cluster" in _modules_loaded_by("cluster-tones", "--model", model,
+                                                   *sorted(map(str, tmp_path.glob("*.wav"))))
 
 
 def test_train_requires_seed(tmp_path):

@@ -17,6 +17,7 @@ from tonelab import (
     pitch_loss,
     train_tone_model,
 )
+from tonelab.learn import _uniform_draws
 from .synth import labelled_clip_set
 import tonelab
 
@@ -254,6 +255,33 @@ def test_train_zero_lr_returns_initialization():
     b0 = rng.uniform(-0.1, 0.1, size=3)
     assert np.array_equal(model.weights, w0)
     assert np.array_equal(model.bias, b0)
+
+
+# the last two have more than 4 words, so they run the extra-words loop
+BOUNDARY_SEEDS = [2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128, 2**160 + 7]
+
+
+@pytest.mark.parametrize("n", [6, 63, 303])
+def test_uniform_draws_equal_numpy_default_rng(n):
+    for seed in [*range(1000), *BOUNDARY_SEEDS]:
+        ours = np.array(_uniform_draws(seed, n, -0.1, 0.1))
+        assert ours.tobytes() == np.random.default_rng(seed).uniform(-0.1, 0.1, n).tobytes(), seed
+
+
+def test_uniform_draws_known_answers():
+    """Pinned, so that the model bytes for a seed hold whatever numpy's uniform() does."""
+    assert [x.hex() for x in _uniform_draws(0, 3, -0.1, 0.1)] == [
+        "0x1.c0cbca647ced0p-6", "-0x1.792e736320f47p-5", "-0x1.7808d4489d6d2p-4"]
+    assert [x.hex() for x in _uniform_draws(3, 3, -0.1, 0.1)] == [
+        "-0x1.536faaf3cd9dap-4", "-0x1.af35acaba6ce0p-5", "0x1.ed9bab612925cp-5"]
+    assert [x.hex() for x in _uniform_draws(2**128, 3, -0.1, 0.1)] == [
+        "0x1.2251bfa43cb4cp-5", "-0x1.a5172bbdbdfc0p-5", "0x1.6e3a448102d34p-6"]
+
+
+def test_train_takes_a_numpy_integer_seed():
+    data = _tiny_features()
+    ours = train_tone_model(data, lr=0.0, epochs=0, seed=np.int64(3))
+    assert np.array_equal(ours.weights, train_tone_model(data, lr=0.0, epochs=0, seed=3).weights)
 
 
 def test_train_single_example_loss_strictly_decreases():
