@@ -248,7 +248,7 @@ def _cmd_dialect_mds(args: argparse.Namespace) -> int:
     from . import tones
 
     corpus = dialectmod.load_corpus(args.corpus)
-    matrix, _ = dialectmod.region_distance_matrix(corpus, metric=args.metric)
+    matrix = dialectmod.region_distance_matrix(corpus, metric=args.metric)[0]  # frees the warnings
     coords = clustering.classical_mds(matrix, dims=args.dims)
     tones._write_text(clustering.mds_to_csv(matrix.labels, coords), args.out)
     return 0

@@ -18,7 +18,7 @@ smallest (i, j) in row-major order. All routines are deterministic. Linkage and
 MDS scale every distance by one exact power of two that puts the largest in
 [2**(top-1), 2**top), and scale results back: top is 1000 for sl/cl/ga/wa (2**24
 of room for ga's sums), 480 before squaring for uc/wc/mv (2**63 for Ward's sums)
-and 240 for MDS (centred squares below 2**485, where LAPACK's eigh rescales inexactly).
+and 240 for MDS (centred squares below 2**481; eigh rescales inexactly above 2**485).
 """
 from __future__ import annotations
 
@@ -222,7 +222,12 @@ def dbscan(points: Sequence[Sequence[float]], eps: float, min_samples: int) -> C
         raise InputError("eps must be positive")
     if min_samples < 1:
         raise InputError("min_samples must be >= 1")
-    pts = np.asarray(points, dtype=float)
+    try:
+        pts = np.asarray(points, dtype=float)
+    except ValueError as exc:  # ragged rows; a non-number keeps numpy's message
+        if "inhomogeneous" not in str(exc):
+            raise
+        raise InputError("points must share a single vector dimension") from None
     if pts.size == 0:
         raise InputError("dbscan needs at least one point")
     if pts.ndim == 1:
@@ -263,10 +268,10 @@ def dbscan(points: Sequence[Sequence[float]], eps: float, min_samples: int) -> C
 def classical_mds(d: DistanceMatrix, dims: int) -> np.ndarray:
     """Torgerson MDS coordinates, shape (n, dims).
 
-    Double-centers the squared distances and takes the top `dims` eigenpairs
-    of the result from `numpy.linalg.eigh`, largest first; each eigenvector is
-    scaled by the square root of its eigenvalue (negative eigenvalues count as
-    0) and sign-fixed so the first item is nonnegative.
+    Double-centers the squared distances by their row means and takes the top
+    `dims` eigenpairs (of the lower triangle, by `numpy.linalg.eigh`), largest
+    first; each eigenvector is scaled by the square root of its eigenvalue
+    (negative ones count as 0) and sign-fixed so the first item is nonnegative.
     """
     if dims not in (1, 2):
         raise InputError("dims must be 1 or 2")
@@ -276,9 +281,8 @@ def classical_mds(d: DistanceMatrix, dims: int) -> np.ndarray:
 
     d2, e = _scaled(d, 240)
     d2 *= d2
-    centering = np.eye(n) - np.full((n, n), 1.0 / n)
-    b = -0.5 * centering @ d2 @ centering
-    b = 0.5 * (b + b.T)  # enforce exact symmetry
+    r = d2.mean(axis=1)
+    b = -0.5 * (d2 - (r[:, None] + r) + r.mean())  # as symmetric as d2: r_i + r_j == r_j + r_i
     w, v = np.linalg.eigh(b)  # ascending eigenvalues
     coords = v[:, ::-1][:, :dims] * np.sqrt(np.maximum(w[::-1][:dims], 0.0))
     return np.ldexp(coords * np.where(coords[0] < 0, -1.0, 1.0), e)

@@ -126,9 +126,7 @@ def region_distance_matrix(corpus: DialectCorpus, metric: str = "tone2vec"
     words = sorted(set().union(*(r.entries for r in regions)))
     row_of = {w: k for k, w in enumerate(words)}
     n = len(regions)
-    word_rows: list[int] = []
-    region_cols: list[int] = []
-    code_of: list[int] = []
+    word_rows, region_cols, code_of = [], [], []  # one entry per (region, word)
     for col, region in enumerate(regions):
         word_rows += map(row_of.__getitem__, region.entries)
         code_of += map(tones._CODES.__getitem__, map(_digits, region.entries.values()))
@@ -137,31 +135,29 @@ def region_distance_matrix(corpus: DialectCorpus, metric: str = "tone2vec"
     codes[word_rows, region_cols] = code_of
     # Shared words of each pair. The product runs in float64, because numpy has no
     # BLAS path for int64; every partial sum is an integer below 2**53, so the
-    # counts are exact.
+    # counts are exact, and symmetric with a nonzero diagonal: the first zero is above it.
     present = (codes != _MISSING).astype(float)
-    counts = (present.T @ present).astype(np.int64)
-    first = np.flatnonzero(np.triu(counts == 0, 1))  # row-major order
+    counts = present.T @ present
+    first = np.flatnonzero(counts == 0)
     if len(first):
         i, j = divmod(int(first[0]), n)
         raise CorpusError(f"regions {regions[i].region_id!r} and {regions[j].region_id!r} "
                           "share no word ids")
 
     sums = np.zeros((n, n))
+    sizes, ids, warnings = np.diag(counts), corpus.region_ids, []
     for lo in range(0, n, _REGION_BLOCK):
         hi = min(lo + _REGION_BLOCK, n)
         acc = sums[lo:hi, lo:]
         for c in codes:
             acc += padded[c[lo:hi]].take(c[lo:], axis=1)
-    values = np.triu(sums / counts, 1)
-    values += values.T  # x + 0.0 == x: the mirror copies each entry exactly
-
-    sizes = np.diag(counts)
-    skipped = sizes[:, None] + sizes - 2 * counts
-    ids = corpus.region_ids
-    rows, cols = np.nonzero(np.triu(skipped, 1))  # row-major (i, j) order
-    warnings = [f"{ids[i]}/{ids[j]}: skipped {k} unshared word(s)"
-                for i, j, k in zip(rows.tolist(), cols.tolist(), skipped[rows, cols].tolist())]
-    return DistanceMatrix(ids, values), warnings
+        sums[hi:, lo:hi] = acc[:, hi - lo:].T  # acc's square is already symmetric, as the table is
+        skipped = np.triu(sizes[lo:hi, None] + sizes - 2 * counts[lo:hi], lo + 1)
+        rows, cols = np.nonzero(skipped)  # row-major (i, j) order
+        warnings += [f"{ids[i]}/{ids[j]}: skipped {k} unshared word(s)" for i, j, k in zip(
+            (rows + lo).tolist(), cols.tolist(), skipped[rows, cols].astype(np.int64).tolist())]
+    np.divide(sums, counts, out=sums)
+    return DistanceMatrix(ids, sums), warnings
 
 
 def dialect_cluster_pipeline(corpus: DialectCorpus, metric: str = "tone2vec",

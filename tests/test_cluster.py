@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -661,6 +662,8 @@ def test_dbscan_input_validation():
         dbscan([], eps=0.5, min_samples=2)
     with pytest.raises((InputError, ValueError)):
         dbscan([[0.0, 1.0], [1.0]], eps=0.5, min_samples=2)
+    with pytest.raises(InputError, match="points must share a single vector dimension"):
+        dbscan([[0, 0], [1]], eps=0.5, min_samples=2)
 
 
 # ---------------------------------------------------------------------------
@@ -719,6 +722,59 @@ def test_mds_matches_eigendecomposition_oracle():
         assert np.allclose(mine, ref, atol=1e-7)
 
 
+def _product_centred_mds(dm, dims):
+    """classical_mds as it was before row-mean centring, frozen as an oracle: an
+    explicit centring matrix, two dense products and an averaged transpose."""
+    n = len(dm)
+    e = math.frexp(float(dm.values.max()))[1] - 240
+    d2 = np.ldexp(dm.values, -e)
+    d2 *= d2
+    centering = np.eye(n) - np.full((n, n), 1.0 / n)
+    b = -0.5 * centering @ d2 @ centering
+    b = 0.5 * (b + b.T)
+    w, v = np.linalg.eigh(b)
+    coords = v[:, ::-1][:, :dims] * np.sqrt(np.maximum(w[::-1][:dims], 0.0))
+    return np.ldexp(coords * np.where(coords[0] < 0, -1.0, 1.0), e)
+
+
+@pytest.mark.parametrize("n", [5, 40, 300])
+@pytest.mark.parametrize("asymmetry", [0.0, 1e-9])
+def test_mds_row_mean_centring_matches_product_centring(n, asymmetry):
+    """Row means centre the same matrix as the products up to rounding, a few ulps
+    of the largest square per entry. With the top `dims` eigenvalues well apart
+    from the rest (points in 2-D and 5-D), the coordinates move by that much
+    relative to the largest: 1e-12 leaves over 10x the worst seen (8e-14 up to
+    n = 500). eigh reads only the lower triangle, where the oracle averaged both:
+    an input asymmetric by up to 1e-9 moves b by about that much relative, hence
+    1e-8 there (worst seen 2e-10)."""
+    rng = np.random.default_rng(n)
+    for dim in (2, 5):
+        pts = rng.normal(size=(n, dim)) * rng.uniform(0.1, 10.0)
+        values = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
+        values += np.triu(rng.uniform(0.0, asymmetry, (n, n)), 1)
+        dm = DistanceMatrix(tuple(map(str, range(n))), values)
+        for dims in (1, 2):
+            mine, ref = classical_mds(dm, dims), _product_centred_mds(dm, dims)
+            tol = 1e-8 if asymmetry else 1e-12
+            assert np.abs(mine - ref).max() <= tol * np.abs(ref).max(), (dim, dims)
+
+
+def test_mds_holds_at_most_three_and_a_half_matrices():
+    """The squares and the centred matrix, then eigh's eigenvectors: no centring
+    matrix and no products."""
+    n = 400
+    pts = np.random.default_rng(3).normal(size=(n, 5))
+    dm = DistanceMatrix(tuple(map(str, range(n))),
+                        np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1)))
+    tracemalloc.start()
+    try:
+        classical_mds(dm, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 8 * n * n
+
+
 def test_mds_one_dim_reproduces_pairwise_distances():
     rng = np.random.default_rng(31)
     for _ in range(10):
@@ -752,7 +808,7 @@ def test_mds_stretched_circle_nearly_degenerate_top_eigenvalue(stretch, dims):
 
 def _near_limit_matrix(case):
     """Distances whose squares are finite but whose unscaled MDS overflows."""
-    if case == "centred":  # b + b.T overflows
+    if case == "centred":  # unscaled, the centring overflows
         values = np.array([[0.0, 1.33, 1.33, 1.33], [1.33, 0.0, 0.87, 0.81],
                            [1.33, 0.87, 0.0, 0.21], [1.33, 0.81, 0.21, 0.0]]) * 1e154
     else:  # b is finite, but eigh returns non-finite eigenvalues

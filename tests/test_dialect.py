@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -397,6 +398,21 @@ def test_region_matrix_names_first_pair_across_blocks():
     with pytest.raises(CorpusError) as got:
         region_distance_matrix(corpus, "categorical")
     assert str(got.value) == str(expected.value) == "regions 'R10' and 'R65' share no word ids"
+
+
+def test_region_matrix_holds_at_most_three_matrices_beyond_its_result():
+    """Besides what it returns, the region matrix holds the shared-word counts and
+    one block's work at a time: no count copies, quotients or triangles of n x n."""
+    n = 400
+    corpus = random_corpus(11, regions=n, words=20, coverage=0.9, pool=ALL_TOKENS)
+    tracemalloc.start()
+    try:
+        result = region_distance_matrix(corpus, "tone2vec")
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result[1]) > n  # the warnings are part of what it returns
+    assert peak - current <= 3 * 8 * n * n
 
 
 # ---------------------------------------------------------------------------
