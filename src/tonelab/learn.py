@@ -32,6 +32,7 @@ PitchTriple = tuple[float, float, float]
 
 _MODEL_FORMAT = "tonelab-linear-tone-model"
 _MODEL_VERSION = 1
+_SQUASH = {"offset": 1.0, "scale": 4.0}  # the z = 1 + 4*sigmoid(u) that embed applies
 
 
 def _label_points(y: Transcription) -> tuple[float, float, float]:
@@ -135,7 +136,7 @@ class LinearToneModel:
             "n_features": self.n_features,
             "weights": [list(row) for row in self.weights],
             "bias": list(self.bias),
-            "squash": {"offset": 1.0, "scale": 4.0},
+            "squash": _SQUASH,
         }
         return _json(payload)
 
@@ -162,7 +163,13 @@ class LinearToneModel:
             raise InputError(f"model weights and bias must be numeric arrays: {exc}") from exc
         if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
             raise InputError("model weights and bias must be finite")
-        return cls(weights, bias)
+        model = cls(weights, bias)
+        if payload.get("n_features", model.n_features) != model.n_features:
+            raise InputError(f"model n_features {payload['n_features']!r} does not match "
+                             f"its {model.n_features} weight columns")
+        if payload.get("squash", _SQUASH) != _SQUASH:
+            raise InputError(f"model squash {payload['squash']!r} is not the one applied, {_SQUASH}")
+        return model
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "LinearToneModel":

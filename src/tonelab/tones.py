@@ -18,12 +18,13 @@ import re
 import struct
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .errors import InputError, TranscriptionError
+from .errors import InputError, ToneLabError, TranscriptionError
 
-# numpy is imported inside the functions that build arrays, so one pair's
+# numpy is imported inside the functions that build or read arrays, so the
+# tone table, every matrix of build_distance_matrix and its CSV, one pair's
 # distance, the variance metric and the text helpers load none.
 
 PITCH_LEVELS = (1, 2, 3, 4, 5)
@@ -248,41 +249,14 @@ def curve_of(t: Transcription) -> PitchCurve:
     return PitchCurve(a, b, p - a - b)
 
 
-def _abs_integrals(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Integral of |a x^2 + b x + c| over CURVE_DOMAIN, elementwise, in closed form.
+def _abs_integral(a: float, b: float, c: float) -> float:
+    """Integral of |a x^2 + b x + c| over CURVE_DOMAIN, in closed form.
 
     The real roots inside the domain split it, and the absolute antiderivative
-    differences of the pieces are added left to right. A missing root is
-    replaced by the upper end, whose piece adds exactly 0, so every entry
-    equals the scalar evaluation (_abs_integral) bit for bit.
+    differences of the pieces are added left to right. A double root does not
+    change the sign, so it does not split. A missing root is replaced by the
+    upper end, whose piece adds exactly 0.
     """
-    import numpy as np
-
-    lo, hi = CURVE_DOMAIN
-    quadratic = a != 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        disc = b * b - 4.0 * a * c
-        s = np.sqrt(disc)
-        r1 = (-b - s) / (2.0 * a)
-        r2 = (-b + s) / (2.0 * a)
-        linear = -c / b
-    # A double root does not change the sign, so no split is needed.
-    two = quadratic & (disc > 0.0)
-    first = np.where(two, np.minimum(r1, r2),
-                     np.where(~quadratic & (b != 0.0), linear, np.nan))
-    second = np.where(two, np.maximum(r1, r2), np.nan)
-    in1 = (lo < first) & (first < hi)
-    in2 = (lo < second) & (second < hi)
-    p1 = np.where(in1, first, np.where(in2, second, hi))
-    p2 = np.where(in1 & in2, second, hi)
-    a3, b2 = a / 3.0, b / 2.0
-    f_lo, f1, f2, f_hi = (((a3 * x + b2) * x + c) * x for x in (lo, p1, p2, hi))
-    return np.abs(f1 - f_lo) + np.abs(f2 - f1) + np.abs(f_hi - f2)
-
-
-def _abs_integral(a: float, b: float, c: float) -> float:
-    """_abs_integrals for one polynomial in pure Python: the same expressions in
-    the same order, with p1 and p2 chosen as its np.where chain chooses them."""
     lo, hi = CURVE_DOMAIN
     first = second = math.nan
     if a != 0.0:
@@ -303,32 +277,52 @@ def _abs_integral(a: float, b: float, c: float) -> float:
     return abs(f1 - f_lo) + abs(f2 - f1) + abs(f_hi - f2)
 
 
-_PAIR_BLOCK = 1024  # pairs per _abs_integrals call: keeps _table()'s temporaries small
+class _Integrals(dict):
+    """Coefficient triple -> _abs_integral of it, evaluated on first lookup."""
+
+    def __missing__(self, key: tuple[float, float, float]) -> float:
+        value = self[key] = _abs_integral(*key)
+        return value
+
+
+def _rows() -> tuple[tuple[float, ...], ...]:
+    """The 150x150 tone_distance table in canonical order, as rows of floats.
+
+    Each entry is _abs_integral of the exact difference of the two curves'
+    coefficients, in its own argument order, and each distinct difference
+    (1,209 among the 22,500 ordered pairs) is evaluated once. The entries are
+    checked here for what DistanceMatrix checks of an array: finite,
+    nonnegative (and never -0.0, so a value keys its text), a zero diagonal and
+    exact symmetry. Every matrix of build_distance_matrix is a submatrix of this
+    table on its rows and columns, so this check covers them all. Not cached:
+    _texts() and _table() keep what they need, so a process that needs one of
+    them does not keep the rows of floats too.
+    """
+    coefs = [(cu.a, cu.b, cu.c) for cu in map(curve_of, canonical_transcriptions())]
+    integrals = _Integrals()
+    rows = tuple(tuple(map(integrals.__getitem__, [(a - a2, b - b2, c - c2) for a2, b2, c2 in coefs]))
+                 for a, b, c in coefs)
+    if not all(math.isfinite(d) and math.copysign(1.0, d) > 0 for d in integrals.values()):
+        raise ToneLabError("tone table holds a non-finite or negative entry")
+    if any(row[i] != 0.0 for i, row in enumerate(rows)) or tuple(zip(*rows)) != rows:
+        raise ToneLabError("tone table is not symmetric with a zero diagonal")
+    return rows
+
+
+@lru_cache(maxsize=1)
+def _texts() -> tuple[tuple[str, ...], ...]:
+    """_rows() with each entry as its 6-decimal text; each distinct value is formatted once."""
+    rows = _rows()
+    text_of = {d: f"{d:.6f}" for d in set(itertools.chain.from_iterable(rows))}
+    return tuple(tuple(map(text_of.__getitem__, row)) for row in rows)
 
 
 @lru_cache(maxsize=1)
 def _table() -> np.ndarray:
-    """Read-only 150x150 tone_distance table in canonical order.
-
-    The pairs i < j are evaluated in row-major order, _PAIR_BLOCK at a time,
-    on the difference of their curves. The lower triangle mirrors the upper
-    one: swapping the two curves negates every intermediate value exactly, so
-    the swapped evaluation gives the same bits.
-    """
+    """_rows() as a read-only 150x150 float64 array, for code that computes on arrays."""
     import numpy as np
 
-    curves = [curve_of(t) for t in canonical_transcriptions()]
-    coef = np.array([[cu.a, cu.b, cu.c] for cu in curves])
-    n = len(coef)
-    upper_mask = np.triu(np.ones((n, n), dtype=bool), 1)
-    rows, cols = np.nonzero(upper_mask)
-    upper = np.empty(len(rows))
-    for start in range(0, len(rows), _PAIR_BLOCK):
-        block = slice(start, start + _PAIR_BLOCK)
-        upper[block] = _abs_integrals(*(coef[rows[block]] - coef[cols[block]]).T)
-    table = np.zeros((n, n))
-    table[upper_mask] = upper
-    table.T[upper_mask] = upper
+    table = np.array(_rows())
     table.setflags(write=False)
     return table
 
@@ -338,7 +332,7 @@ def tone_distance(l1: Transcription, l2: Transcription) -> float:
 
     Symmetric, nonnegative, and zero whenever the curves coincide (which can
     happen for distinct transcriptions, e.g. "35" and "345"). Equal bit for
-    bit to the entry of _table(), without loading numpy.
+    bit to the entry of _rows(), which is built the same way.
     """
     c1, c2 = curve_of(l1), curve_of(l2)
     return _abs_integral(c1.a - c2.a, c1.b - c2.b, c1.c - c2.c)
@@ -361,19 +355,29 @@ class _SixDecimals(dict):
 _ROW_BLOCK = 64  # rows per symmetry check: keeps its temporary at 64 x n
 
 
-@dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric nonnegative distance matrix with labelled rows."""
+    """Symmetric nonnegative distance matrix with labelled rows; its attributes
+    cannot be set.
 
-    labels: tuple[str, ...]
-    values: np.ndarray
+    DistanceMatrix(labels, values) checks the array and keeps it as float64. A
+    matrix of build_distance_matrix keeps each label's canonical code instead
+    (``codes``, None for an array): its ``values`` is the tone table on those rows
+    and columns, formed on first read and read-only, and _rows() has checked it.
+    """
 
-    def __post_init__(self) -> None:
+    def __init__(self, labels: Sequence[str], values=None, *,
+                 codes: Sequence[int] | None = None) -> None:
+        object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "codes", None if codes is None else tuple(codes))
+        n = len(self.labels)
+        if self.codes is not None:
+            if n == 0 or len(self.codes) != n or not 0 <= min(self.codes) <= max(self.codes) < 150:
+                raise InputError(f"need one canonical code in 0..149 for each of {n} >= 1 labels")
+            return
         import numpy as np
 
-        v = np.asarray(self.values, dtype=float)
+        v = np.asarray(values, dtype=float)
         object.__setattr__(self, "values", v)
-        n = len(self.labels)
         if v.shape != (n, n):
             raise InputError(f"matrix shape {v.shape} does not match {n} labels")
         if n == 0:
@@ -390,6 +394,18 @@ class DistanceMatrix:
             if not (asym <= 1e-9).all():
                 raise InputError("distance matrix must be symmetric")
 
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The n x n float64 distances (set at once for a matrix built from an array)."""
+        import numpy as np
+
+        v = _table()[np.ix_(self.codes, self.codes)]
+        v.setflags(write=False)
+        return v
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot set {name!r} of a DistanceMatrix")
+
     def __len__(self) -> int:
         return len(self.labels)
 
@@ -398,29 +414,33 @@ class DistanceMatrix:
 
         Returns the text, also written to path if one is given. Given an open text
         stream instead, writes the rows to it as they are joined, in batches of at
-        most 64 KiB, and returns None: then the text of only the distinct rows is held."""
-        import numpy as np
+        most 64 KiB, and returns None: then the text of only the distinct rows is held,
+        at most 150 of them for a matrix with codes."""
+        if self.codes is not None:
+            # Each distinct code's row is joined once from the table's texts.
+            texts, row_of = _texts(), self.codes
+            body = {code: ",".join(map(texts[code].__getitem__, row_of)) for code in set(row_of)}
+        else:
+            import numpy as np
 
-        # Each distinct row is formatted once, keyed on its bits, and repeated rows
-        # share its string. Each distinct value is formatted once, also keyed on
-        # bits, so -0.0 keeps its sign.
-        bits = self.values.view(np.uint64)
-        first: dict[bytes, int] = {}
-        row_of = [first.setdefault(row.tobytes(), i) for i, row in enumerate(bits)]
-        text_of = _SixDecimals()
-        body = {i: ",".join(map(text_of.__getitem__, bits[i].tolist())) for i in first.values()}
+            # Each distinct row is formatted once, keyed on its bits, and repeated rows
+            # share its string. Each distinct value is formatted once, also keyed on
+            # bits, so -0.0 keeps its sign.
+            bits = self.values.view(np.uint64)
+            first: dict[bytes, int] = {}
+            row_of = [first.setdefault(row.tobytes(), i) for i, row in enumerate(bits)]
+            text_of = _SixDecimals()
+            body = {i: ",".join(map(text_of.__getitem__, bits[i].tolist())) for i in first.values()}
         names = list(map(_quoted, self.labels))
-        return _csv(("label", *names), zip(names, map(body.get, row_of)), path)
+        return _csv(("label", *names), zip(names, map(body.__getitem__, row_of)), path)
 
 
 def build_distance_matrix(ls: Sequence[Transcription]) -> DistanceMatrix:
-    """Pairwise tone_distance matrix; labels preserve input order."""
-    import numpy as np
-
+    """Pairwise tone_distance matrix; labels preserve input order. It keeps the
+    labels' canonical codes, so its values are formed only when read."""
     if len(ls) == 0:
         raise InputError("cannot build a distance matrix from an empty list")
-    codes = [_CODES[t.digits] for t in ls]
-    return DistanceMatrix(tuple(t.token for t in ls), _table()[np.ix_(codes, codes)])
+    return DistanceMatrix(tuple(t.token for t in ls), codes=[_CODES[t.digits] for t in ls])
 
 
 def canonical_transcriptions() -> list[Transcription]:

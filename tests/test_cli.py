@@ -174,14 +174,17 @@ def test_transcribe_imports_no_scipy(rise_wav):
 
 
 def _modules_loaded_by(*argv):
-    """The numpy, numpy.random and tonelab.* modules a child has loaded after main(argv)."""
+    """The numpy, numpy.random and tonelab.* modules a child has loaded after main(argv),
+    which must succeed."""
     code = ("import json, sys\nfrom tonelab.cli import main\n"
-            "try:\n    main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
-            "print(json.dumps([m for m in sys.modules if m in ('numpy', 'numpy.random', 'tonelab') "
-            "or m.startswith('tonelab.')]))")
+            "try:\n    status = main(sys.argv[1:])\nexcept SystemExit as exc:\n    status = exc.code\n"
+            "print(json.dumps([status, [m for m in sys.modules if m in ('numpy', 'numpy.random', "
+            "'tonelab') or m.startswith('tonelab.')]]))")
     out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                          text=True, check=True).stdout
-    return set(json.loads(out.splitlines()[-1]))
+    status, modules = json.loads(out.splitlines()[-1])
+    assert status == 0
+    return set(modules)
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["dist", "--help"],
@@ -194,13 +197,18 @@ AUDIO_AND_SURVEY = {"tonelab.cluster", "tonelab.dialect", "tonelab.learn", "tone
 
 
 @pytest.mark.parametrize("argv", [["dist", "41", "312"], ["dist", "--matrix"],
+                                  ["dist", "--tokens-file", "TOKENS"],
                                   ["variance", "445", "45"], ["dist", "41", "312", "-o", "OUT"]])
 def test_tone_commands_load_no_audio_or_survey_modules(argv, tmp_path):
-    loaded = _modules_loaded_by(*[str(tmp_path / "d.txt") if a == "OUT" else a for a in argv])
+    tokens = tmp_path / "tokens.txt"
+    tokens.write_text("41\n312\n35\n41\n", encoding="utf-8")
+    paths = {"OUT": str(tmp_path / "d.txt"), "TOKENS": str(tokens)}
+    loaded = _modules_loaded_by(*[paths.get(a, a) for a in argv])
     assert "tonelab.tones" in loaded
     assert not loaded & AUDIO_AND_SURVEY
-    # one pair's distance and the variance metric are pure Python
-    assert ("numpy" in loaded) == ("--matrix" in argv)
+    # the tone table, its matrices' CSV, one pair's distance and the variance
+    # metric are pure Python
+    assert "numpy" not in loaded
 
 
 def test_closed_stdout_exits_1_without_a_traceback():
@@ -607,6 +615,9 @@ BAD_MODELS = {
     "one_column": {**_MODEL, "weights": [[0.0]] * 3},
     "bias_4": {**_MODEL, "bias": [0.0] * 4},
     "text_weights": {**_MODEL, "weights": "none"},
+    # a header that disagrees with the weights, or a squash that embed does not apply
+    "n_features_7": {**_MODEL, "n_features": 7, "weights": [[0.0] * 20] * 3},
+    "squash_2_1": {**_MODEL, "squash": {"offset": 2.0, "scale": 1.0}},
     "no_format": {"bias": [0.0] * 3},
 }
 
@@ -642,7 +653,8 @@ BAD_INPUTS = [
     # malformed model JSON; transcribe loads the model before writing its F0 CSV
     *((f"cluster-tones {{wav}} --model {{{name}}} --out-csv {{out}}", f"{{{name}}}")
       for name in BAD_MODELS),
-    ("transcribe {wav} --method model --model {top_list} --f0-csv {out}", "{top_list}"),
+    *((f"transcribe {{wav}} --method model --model {{{name}}} --f0-csv {{out}}", f"{{{name}}}")
+      for name in ("top_list", "n_features_7", "squash_2_1")),
     # a WAV path that is a directory
     ("transcribe {dir}", "{dir}"),
     ("cluster-tones {dir} --model {model} --out-csv {out}", "{dir}"),

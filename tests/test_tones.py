@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from scipy.integrate import quad
 from tonelab import (
     DistanceMatrix,
     InputError,
+    ToneLabError,
     Transcription,
     TranscriptionError,
     build_distance_matrix,
@@ -268,12 +271,17 @@ def test_database_bit_identical_to_scalar_closed_form():
                for i, a in enumerate(ts) for j, b in enumerate(ts))
 
 
-@pytest.mark.parametrize("block", [1, 7, 150, 1024, 11175, 20000])
-def test_table_bit_identical_at_any_pair_block(block, monkeypatch):
-    # the cached table came from the default block; a rebuild at any block
-    # size evaluates the same pairs with the same operations
-    monkeypatch.setattr(tones, "_PAIR_BLOCK", block)
-    assert np.array_equal(tones._table.__wrapped__(), tones._table())
+@pytest.mark.parametrize("integral,match", [
+    (lambda a, b, c: -0.0 if (a, b, c) == (0.0, 0.0, 0.0) else 1.0, "negative"),
+    (lambda a, b, c: math.nan if a > 0.0 else 0.0, "non-finite"),
+    (lambda a, b, c: 1.0, "zero diagonal"),
+    (lambda a, b, c: 0.0 if (a, b, c) == (0.0, 0.0, 0.0) else 1.0 if (a, b, c) > (0.0,) * 3 else 2.0,
+     "symmetric"),
+], ids=["negative-zero", "nan", "diagonal", "asymmetric"])
+def test_table_rows_are_checked_when_built(integral, match, monkeypatch):
+    monkeypatch.setattr(tones, "_abs_integral", integral)
+    with pytest.raises(ToneLabError, match=match):
+        tones._rows()
 
 
 def test_table_build_memory_stays_small():
@@ -297,6 +305,58 @@ def test_matrix_bit_identical_to_scalar_closed_form(order):
     m = build_distance_matrix(ls)
     assert m.labels == tuple(t.token for t in ls)
     assert np.array_equal(m.values, reference_matrix(ls))
+
+
+# In a fresh interpreter: build a matrix and the database, write their CSVs, then
+# report whether numpy was loaded, and each matrix's values as bytes.
+_NUMPY_FREE_CSV = """
+import json, sys
+from tonelab import build_distance_matrix, parse_transcription, tone_distance_database
+matrices = [build_distance_matrix([parse_transcription(t) for t in sys.argv[1:]]),
+            tone_distance_database()]
+texts = [m.to_csv() for m in matrices]
+loaded = "numpy" in sys.modules
+print(json.dumps({"numpy_after_csv": loaded, "rows": [t.count("\\n") for t in texts],
+                  "writeable": [m.values.flags.writeable for m in matrices],
+                  "values": [m.values.tobytes().hex() for m in matrices]}))
+"""
+
+
+def test_matrix_and_its_csv_load_no_numpy_and_values_are_read_only():
+    ts = canonical_transcriptions()
+    ls = [ts[i] for i in np.random.default_rng(71).integers(0, len(ts), 70)] + ts[:3]
+    out = subprocess.run([sys.executable, "-c", _NUMPY_FREE_CSV, *(t.token for t in ls)],
+                         capture_output=True, text=True, check=True).stdout
+    report = json.loads(out)
+    assert report["numpy_after_csv"] is False
+    assert report["rows"] == [len(ls) + 1, 151]
+    assert report["writeable"] == [False, False]
+    for hexed, items in zip(report["values"], (ls, ts)):
+        values = np.frombuffer(bytes.fromhex(hexed), dtype=np.float64).reshape(len(items), -1)
+        assert values.view(np.uint64).tobytes() == reference_matrix(items).view(np.uint64).tobytes()
+
+
+def test_matrix_codes_are_checked_and_values_cannot_be_written():
+    m = build_distance_matrix([parse_transcription(t) for t in ("41", "312", "41")])
+    assert m.codes == (tones._CODES[(4, 1)], tones._CODES[(3, 1, 2)], tones._CODES[(4, 1)])
+    with pytest.raises(ValueError, match="read-only"):
+        m.values[0, 1] = 0.0
+    with pytest.raises(AttributeError):
+        m.codes = (0, 0, 0)  # the values formed above stay those of the codes
+    assert DistanceMatrix(("a",), np.zeros((1, 1))).codes is None
+    for labels, codes in ((("a", "b"), (0,)), (("a",), (150,)), (("a",), (-1,)), ((), ())):
+        with pytest.raises(InputError):
+            DistanceMatrix(labels, codes=codes)
+
+
+def test_csv_of_5000_tokens_streams_in_bounded_memory():
+    # no n x n matrix is formed: 5,000 tokens would make a 200 MB one
+    ts = canonical_transcriptions()
+    ls = [ts[i] for i in np.random.default_rng(5001).integers(0, len(ts), 5000)]
+    tones._texts()  # the cached tables are built outside the measurement
+    sink = _Writes(keep=False)
+    assert _peak_mib(lambda: build_distance_matrix(ls).to_csv(sink)) < 16
+    assert sink.chars > 9 * 5000 * 5000
 
 
 def test_matrix_validation():
