@@ -85,9 +85,8 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     elif args.tokens_file is not None:
         matrix = tones.build_distance_matrix(_read_token_file(args.tokens_file))
     else:
-        l1 = tones.parse_transcription(args.tokens[0])
-        l2 = tones.parse_transcription(args.tokens[1])
-        tones._write_text(f"{tones.tone_distance(l1, l2):.6f}\n", args.out)
+        l1, l2 = map(tones.parse_transcription, args.tokens)
+        tones._write((f"{tones.tone_distance(l1, l2):.6f}\n",), args.out)
         return 0
     with tones._output(args.out) as fh:  # rows go out as formatted, not as one text
         matrix.to_csv(fh)
@@ -97,9 +96,8 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 def _cmd_variance(args: argparse.Namespace) -> int:
     from . import tones
 
-    l1 = tones.parse_transcription(args.token1)
-    l2 = tones.parse_transcription(args.token2)
-    tones._write_text(f"{tones.variance_metric(l1, l2):.4f}\n", None)
+    l1, l2 = map(tones.parse_transcription, (args.token1, args.token2))
+    tones._write((f"{tones.variance_metric(l1, l2):.4f}\n",), None)
     return 0
 
 
@@ -130,9 +128,9 @@ def _cmd_transcribe(args: argparse.Namespace) -> int:
             "transcription": result.token,
             "triple": [round(v, 6) for v in triple],
         }
-        tones._write_text(tones._json(payload), None)
+        tones._write(tones._json(payload), None)
     else:
-        tones._write_text(result.token + "\n", None)
+        tones._write((result.token, "\n"), None)
     return 0
 
 
@@ -179,7 +177,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "train_accuracy": round(hits / len(data), 6),
     }
-    tones._write_text(tones._json(summary), None)
+    tones._write(tones._json(summary), None)
     return 0
 
 
@@ -219,7 +217,7 @@ def _cmd_cluster_tones(args: argparse.Namespace) -> int:
         "n_categories": result.n_categories,
         "noise": [names[i] for i in result.noise],
     }
-    tones._write_text(tones._json(payload), None)
+    tones._write(tones._json(payload), None)
     if args.out_csv:
         result.assignment.to_csv(names, args.out_csv)
     return 0
@@ -232,7 +230,7 @@ def _cmd_dialect_cluster(args: argparse.Namespace) -> int:
     corpus = dialectmod.load_corpus(args.corpus, args.gold)
     report = dialectmod.dialect_cluster_pipeline(corpus, metric=args.metric,
                                                  linkage=args.linkage)
-    tones._write_text(tones._json(report), None)
+    tones._write(tones._json(report), None)
     if args.out_csv:
         names = sorted(report["linkages"])
         labels = [report["linkages"][name]["labels"] for name in names]
@@ -250,7 +248,8 @@ def _cmd_dialect_mds(args: argparse.Namespace) -> int:
     corpus = dialectmod.load_corpus(args.corpus)
     matrix = dialectmod.region_distance_matrix(corpus, metric=args.metric)[0]  # frees the warnings
     coords = clustering.classical_mds(matrix, dims=args.dims)
-    tones._write_text(clustering.mds_to_csv(matrix.labels, coords), args.out)
+    with tones._output(args.out) as fh:
+        clustering.mds_to_csv(matrix.labels, coords, fh)
     return 0
 
 

@@ -26,13 +26,13 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
 from ._defaults import LINKAGES
 from .errors import InputError
-from .tones import DistanceMatrix, _csv, _quoted
+from .tones import _ROW_BLOCK, DistanceMatrix, _csv, _quoted
 
 _SQUARED_LINKAGES = frozenset({"uc", "wc", "mv"})
 
@@ -126,7 +126,8 @@ def hierarchical_cluster(d: DistanceMatrix, linkage: str) -> Dendrogram:
     stale = np.zeros(2 * n - 1, dtype=bool)
     cache = np.full(2 * n - 1, np.inf)
     nbr = np.zeros(2 * n - 1, dtype=np.intp)
-    _rescan(work, np.arange(n), np.arange(n), slot, cache, nbr)
+    for lo in range(0, n, _ROW_BLOCK):  # the first scan, without an n x n block
+        _rescan(work, np.arange(lo, min(lo + _ROW_BLOCK, n)), np.arange(n), slot, cache, nbr)
 
     steps = []
     for step in range(n - 1):
@@ -289,8 +290,8 @@ def classical_mds(d: DistanceMatrix, dims: int) -> np.ndarray:
 
 
 def mds_to_csv(labels: Sequence[str], coords: np.ndarray,
-               path: str | os.PathLike | None = None) -> str:
-    """CSV export of MDS coordinates: item,x[,y] with 6 decimals."""
+               path: str | os.PathLike | TextIO | None = None) -> str | None:
+    """CSV export of MDS coordinates: item,x[,y] with 6 decimals; path as _csv takes it."""
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     if coords.shape[0] != len(labels):
         raise InputError("coordinate row count does not match labels")

@@ -23,7 +23,7 @@ import numpy as np
 from . import pitch as pitchmod
 from ._defaults import DEFAULT_BETA
 from .errors import InputError, naming
-from .tones import Transcription, _json, _reading, _write_text
+from .tones import Transcription, _json, _reading, _write
 
 if TYPE_CHECKING:
     from .cluster import ClusterAssignment
@@ -138,10 +138,10 @@ class LinearToneModel:
             "bias": list(self.bias),
             "squash": _SQUASH,
         }
-        return _json(payload)
+        return "".join(_json(payload))
 
     def save(self, path: str | os.PathLike) -> None:
-        _write_text(self.to_json(), path)
+        _write((self.to_json(),), path)
 
     @classmethod
     def from_json(cls, text: str) -> "LinearToneModel":

@@ -13,9 +13,9 @@ import io
 import itertools
 import json
 import math
+import operator
 import os
 import re
-import struct
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -69,13 +69,12 @@ def _write_all(pieces: Iterable[str], fh: TextIO) -> None:
         fh.write("".join(batch))
 
 
-def _write_text(text: str, path: str | os.PathLike | None) -> str:
-    """Write text through _output to path, or to stdout if path is None, in slices
-    of _BATCH characters; return text. A file that cannot be written, or stdout that
+def _write(pieces: Iterable[str], path: str | os.PathLike | None) -> None:
+    """Write the concatenated pieces through _output to path, or to stdout if path is
+    None, in slices of _BATCH characters. A file that cannot be written, or stdout that
     cannot take the text, raises InputError naming it."""
     with _output(path) as fh:
-        _write_all((text,), fh)
-    return text
+        _write_all(pieces, fh)
 
 
 def _csv(header: Sequence[str], rows: Iterable[Sequence],
@@ -94,7 +93,9 @@ def _csv(header: Sequence[str], rows: Iterable[Sequence],
         return None
     # One join of the cells: joining each row first would hold a second copy.
     text = "".join(parts)
-    return text if out is None else _write_text(text, out)
+    if out is not None:
+        _write((text,), out)
+    return text
 
 
 def _csv_parts(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
@@ -117,9 +118,11 @@ def _quoted(name) -> str:
     return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text
 
 
-def _json(obj) -> str:
-    """The package's one JSON format: sorted keys, 2-space indent, final newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _json(obj) -> Iterator[str]:
+    """The package's one JSON format: sorted keys, 2-space indent, final newline, as an
+    iterator over the pieces that json.dumps(obj, indent=2, sort_keys=True) joins and
+    then the newline, so that _write sends a report out without holding its text."""
+    return itertools.chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj), ("\n",))
 
 
 @contextlib.contextmanager
@@ -288,25 +291,30 @@ class _Integrals(dict):
 def _rows() -> tuple[tuple[float, ...], ...]:
     """The 150x150 tone_distance table in canonical order, as rows of floats.
 
-    Each entry is _abs_integral of the exact difference of the two curves'
-    coefficients, in its own argument order, and each distinct difference
-    (1,209 among the 22,500 ordered pairs) is evaluated once. The entries are
-    checked here for what DistanceMatrix checks of an array: finite,
-    nonnegative (and never -0.0, so a value keys its text), a zero diagonal and
-    exact symmetry. Every matrix of build_distance_matrix is a submatrix of this
-    table on its rows and columns, so this check covers them all. Not cached:
+    Each entry below the diagonal is _abs_integral of the exact difference of the
+    two curves' coefficients, and each distinct difference is evaluated once; the
+    rows mirror that lower triangle. The entries are checked here for what
+    DistanceMatrix checks of an array: finite, nonnegative (and never -0.0, so a
+    value keys its text), a zero diagonal and exact symmetry, which holds when each
+    difference's negation, the entry's own argument order above the diagonal,
+    gives the same value. Every matrix of build_distance_matrix is a submatrix of
+    this table on its rows and columns, so this check covers them all. Not cached:
     _texts() and _table() keep what they need, so a process that needs one of
     them does not keep the rows of floats too.
     """
     coefs = [(cu.a, cu.b, cu.c) for cu in map(curve_of, canonical_transcriptions())]
     integrals = _Integrals()
-    rows = tuple(tuple(map(integrals.__getitem__, [(a - a2, b - b2, c - c2) for a2, b2, c2 in coefs]))
-                 for a, b, c in coefs)
+    lower = [list(map(integrals.__getitem__,
+                      [(a - a2, b - b2, c - c2) for a2, b2, c2 in coefs[: i + 1]]))
+             for i, (a, b, c) in enumerate(coefs)]
+    # each entry above the diagonal in its own argument order; the negations are added
+    # after the lower triangle's differences, whose values stay the first len(above)
+    above = [integrals[-a, -b, -c] for a, b, c in list(integrals)]
     if not all(math.isfinite(d) and math.copysign(1.0, d) > 0 for d in integrals.values()):
         raise ToneLabError("tone table holds a non-finite or negative entry")
-    if any(row[i] != 0.0 for i, row in enumerate(rows)) or tuple(zip(*rows)) != rows:
+    if above != list(integrals.values())[: len(above)] or any(row[i] for i, row in enumerate(lower)):
         raise ToneLabError("tone table is not symmetric with a zero diagonal")
-    return rows
+    return tuple(tuple(row + [r[i] for r in lower[i + 1 :]]) for i, row in enumerate(lower))
 
 
 @lru_cache(maxsize=1)
@@ -343,16 +351,7 @@ def categorical_distance(l1: Transcription, l2: Transcription) -> int:
     return 0 if l1.digits == l2.digits else 1
 
 
-class _SixDecimals(dict):
-    """float64 bit pattern -> its 6-decimal text, formatted on first lookup."""
-
-    def __missing__(self, key: int) -> str:
-        value = struct.unpack("d", key.to_bytes(8, sys.byteorder))[0]
-        text = self[key] = f"{value:.6f}"
-        return text
-
-
-_ROW_BLOCK = 64  # rows per symmetry check: keeps its temporary at 64 x n
+_ROW_BLOCK = 64  # rows per symmetry check and first linkage scan: keeps each temporary at 64 x n
 
 
 class DistanceMatrix:
@@ -368,11 +367,16 @@ class DistanceMatrix:
     def __init__(self, labels: Sequence[str], values=None, *,
                  codes: Sequence[int] | None = None) -> None:
         object.__setattr__(self, "labels", tuple(labels))
-        object.__setattr__(self, "codes", None if codes is None else tuple(codes))
         n = len(self.labels)
-        if self.codes is not None:
-            if n == 0 or len(self.codes) != n or not 0 <= min(self.codes) <= max(self.codes) < 150:
+        if codes is not None:
+            try:  # operator.index takes numpy ints and refuses 1.5 and 2.0
+                codes = tuple(map(operator.index, codes))
+            except TypeError:
+                codes = ()  # refused below
+            if n == 0 or len(codes) != n or not 0 <= min(codes) <= max(codes) < 150:
                 raise InputError(f"need one canonical code in 0..149 for each of {n} >= 1 labels")
+        object.__setattr__(self, "codes", codes)
+        if codes is not None:
             return
         import numpy as np
 
@@ -414,25 +418,17 @@ class DistanceMatrix:
 
         Returns the text, also written to path if one is given. Given an open text
         stream instead, writes the rows to it as they are joined, in batches of at
-        most 64 KiB, and returns None: then the text of only the distinct rows is held,
-        at most 150 of them for a matrix with codes."""
+        most 64 KiB, and returns None: then a matrix with codes holds the text of only
+        its distinct rows, at most 150, and one built from an array one row's floats."""
+        names = list(map(_quoted, self.labels))
         if self.codes is not None:
             # Each distinct code's row is joined once from the table's texts.
             texts, row_of = _texts(), self.codes
             body = {code: ",".join(map(texts[code].__getitem__, row_of)) for code in set(row_of)}
+            rows = zip(names, map(body.__getitem__, row_of))
         else:
-            import numpy as np
-
-            # Each distinct row is formatted once, keyed on its bits, and repeated rows
-            # share its string. Each distinct value is formatted once, also keyed on
-            # bits, so -0.0 keeps its sign.
-            bits = self.values.view(np.uint64)
-            first: dict[bytes, int] = {}
-            row_of = [first.setdefault(row.tobytes(), i) for i, row in enumerate(bits)]
-            text_of = _SixDecimals()
-            body = {i: ",".join(map(text_of.__getitem__, bits[i].tolist())) for i in first.values()}
-        names = list(map(_quoted, self.labels))
-        return _csv(("label", *names), zip(names, map(body.__getitem__, row_of)), path)
+            rows = ((name, *row.tolist()) for name, row in zip(names, self.values))
+        return _csv(("label", *names), rows, path)
 
 
 def build_distance_matrix(ls: Sequence[Transcription]) -> DistanceMatrix:

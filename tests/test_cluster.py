@@ -775,6 +775,22 @@ def test_mds_holds_at_most_three_and_a_half_matrices():
     assert peak <= 3.5 * 8 * n * n
 
 
+@pytest.mark.parametrize("linkage", ["sl", "wa"])
+def test_linkage_holds_one_matrix_and_a_row_block(linkage):
+    """The scaled working copy, then the first scan 64 rows at a time: no n x n block."""
+    n = 400
+    pts = np.random.default_rng(5).normal(size=(n, 3))
+    dm = DistanceMatrix(tuple(map(str, range(n))),
+                        np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1)))
+    tracemalloc.start()
+    try:
+        hierarchical_cluster(dm, linkage)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * n * n
+
+
 def test_mds_one_dim_reproduces_pairwise_distances():
     rng = np.random.default_rng(31)
     for _ in range(10):

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -344,7 +345,9 @@ def test_matrix_codes_are_checked_and_values_cannot_be_written():
     with pytest.raises(AttributeError):
         m.codes = (0, 0, 0)  # the values formed above stay those of the codes
     assert DistanceMatrix(("a",), np.zeros((1, 1))).codes is None
-    for labels, codes in ((("a", "b"), (0,)), (("a",), (150,)), (("a",), (-1,)), ((), ())):
+    assert DistanceMatrix(("a", "b"), codes=np.array([3, 149])).codes == (3, 149)
+    for labels, codes in ((("a", "b"), (0,)), (("a",), (150,)), (("a",), (-1,)), ((), ()),
+                          (("a", "b"), (1.5, 2)), (("a", "b"), (1, 2.0))):
         with pytest.raises(InputError):
             DistanceMatrix(labels, codes=codes)
 
@@ -416,8 +419,7 @@ def _random_matrix(n: int, seed: int) -> DistanceMatrix:
     return DistanceMatrix(tuple(f"r{i}" for i in range(n)), upper + upper.T)
 
 
-# Rows equal bit for bit share one formatted string; rows that differ only in
-# the sign of a zero must not.
+# Rows that differ only in the sign of a zero must print differently.
 _SIGNED_ZERO_ROWS = DistanceMatrix(("a", "b", "c"), np.array(
     [[0.0, 0.0, 1.0], [-0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
 
@@ -517,12 +519,29 @@ def test_csv_quotes_labels_with_commas_quotes_or_line_breaks():
     assert all(len(row) == 5 for row in parsed)
 
 
+def test_array_csv_streams_one_row_at_a_time():
+    # a 1,000 x 1,000 matrix built from an array: its 9.2 MB of CSV text is never held
+    m = _random_matrix(1000, 6)
+    sink = _Writes(keep=False)
+    assert _peak_mib(lambda: m.to_csv(sink)) < 4
+    assert sink.chars > 9 * 1000 * 1000
+
+
 # Frozen copies of the hand-built writers that tones._csv and tones._json replaced.
+class _SixDecimals(dict):
+    """float64 bit pattern -> its 6-decimal text, formatted on first lookup."""
+
+    def __missing__(self, key: int) -> str:
+        value = struct.unpack("d", key.to_bytes(8, sys.byteorder))[0]
+        text = self[key] = f"{value:.6f}"
+        return text
+
+
 def _old_matrix_csv(m: DistanceMatrix) -> str:
     bits = m.values.view(np.uint64)
     first: dict[bytes, int] = {}
     row_of = [first.setdefault(row.tobytes(), i) for i, row in enumerate(bits)]
-    text_of = tones._SixDecimals()
+    text_of = _SixDecimals()
     body = {i: ",".join(map(text_of.__getitem__, bits[i].tolist())) for i in first.values()}
     parts = ["label,", ",".join(m.labels), "\n"]
     for label, i in zip(m.labels, row_of):
@@ -653,6 +672,64 @@ def test_writers_byte_identical_to_frozen_writers(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     expected = _old_region_csv(report, load_corpus(corpus).region_ids)
     assert out.read_bytes() == expected.encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# JSON reports
+
+
+def _escaped_region_report(shared: bool) -> dict:
+    """dialect-cluster's report on regions whose names need JSON escapes; with shared
+    False, each region lacks one word, so every pair has a coverage warning."""
+    from tonelab.dialect import DialectCorpus, RegionLexicon, dialect_cluster_pipeline
+
+    names = ('q"t', "back\\slash", "Zh\u014du \u6f6e\u5dde", "tab\there", "line\nbreak")
+    rng = np.random.default_rng(37)
+    regions = tuple(RegionLexicon(name, {f"w{w}": parse_transcription(ALL_TOKENS[int(i)])
+                                         for w, i in enumerate(rng.integers(0, 150, 6))
+                                         if shared or w != r})
+                    for r, name in enumerate(names))
+    return dialect_cluster_pipeline(DialectCorpus(regions), linkage="all")
+
+
+def _model_payload() -> dict:
+    # numpy float64 weights with signed zeros, as LinearToneModel.to_json passes them
+    weights, bias = np.array([[-0.0, 1.0], [2.5, -3.0], [1e-7, 0.1]]), np.array([0.0, -0.0, 1.0])
+    return {"format": "tonelab-linear-tone-model", "version": 1, "n_features": 2,
+            "weights": [list(row) for row in weights], "bias": list(bias),
+            "squash": {"offset": 1.0, "scale": 4.0}}
+
+
+def test_json_pieces_join_to_what_json_dumps_writes():
+    warned, unwarned = _escaped_region_report(False), _escaped_region_report(True)
+    assert len(warned["coverage_warnings"]) == 10 and unwarned["coverage_warnings"] == []
+    for obj in (warned, unwarned, _model_payload()):
+        assert "".join(tones._json(obj)) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    text = "".join(tones._json(warned))
+    assert '"q\\"t/back\\\\slash' in text and "\\u6f6e" in text and "tab\\there" in text
+
+
+def _big_report(warnings: int) -> dict:
+    report = _escaped_region_report(True)
+    report["coverage_warnings"] = [f"r{i}/r{i + 1}: skipped {i % 7 + 1} unshared word(s)"
+                                   for i in range(warnings)]
+    return report
+
+
+def test_json_report_goes_out_in_slices(monkeypatch):
+    report = _big_report(5000)
+    sink = _Writes()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tones._write(tones._json(report), None)
+    assert "".join(sink.parts) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert len(sink.parts) > 3 and max(map(len, sink.parts)) <= 1 << 16
+
+
+def test_json_report_text_is_never_held_whole():
+    report = _big_report(100_000)
+    sink = _Writes(keep=False)
+    assert _peak_mib(lambda: tones._write_all(tones._json(report), sink)) < 1
+    assert sink.chars > 4.5 * 2**20  # the text the writes add up to
 
 
 def test_tone_distance_is_the_table_entry_and_never_negative_zero():
