@@ -246,7 +246,7 @@ def _cmd_dialect_mds(args: argparse.Namespace) -> int:
     from . import tones
 
     corpus = dialectmod.load_corpus(args.corpus)
-    matrix = dialectmod.region_distance_matrix(corpus, metric=args.metric)[0]  # frees the warnings
+    matrix = dialectmod.region_distance_matrix(corpus, metric=args.metric)[0]
     coords = clustering.classical_mds(matrix, dims=args.dims)
     with tones._output(args.out) as fh:
         clustering.mds_to_csv(matrix.labels, coords, fh)

@@ -105,9 +105,10 @@ _REGION_BLOCK = 64  # regions per accumulator block in region_distance_matrix
 
 
 def region_distance_matrix(corpus: DialectCorpus, metric: str = "tone2vec"
-                           ) -> tuple[DistanceMatrix, list[str]]:
-    """Mean distance over shared word ids for every region pair, plus warnings
-    for skipped unshared words.
+                           ) -> tuple[DistanceMatrix, np.ndarray]:
+    """Mean distance over shared word ids for every region pair, plus the
+    shared-word counts: an n x n float64 array of the word ids each pair shares,
+    with each region's own word count on the diagonal (exact integers).
 
     The corpus becomes a word-major array of canonical codes, one row per word
     id in sorted order and one column per region (_MISSING where the word is
@@ -145,19 +146,26 @@ def region_distance_matrix(corpus: DialectCorpus, metric: str = "tone2vec"
                           "share no word ids")
 
     sums = np.zeros((n, n))
-    sizes, ids, warnings = np.diag(counts), corpus.region_ids, []
     for lo in range(0, n, _REGION_BLOCK):
         hi = min(lo + _REGION_BLOCK, n)
         acc = sums[lo:hi, lo:]
         for c in codes:
             acc += padded[c[lo:hi]].take(c[lo:], axis=1)
         sums[hi:, lo:hi] = acc[:, hi - lo:].T  # acc's square is already symmetric, as the table is
-        skipped = np.triu(sizes[lo:hi, None] + sizes - 2 * counts[lo:hi], lo + 1)
-        rows, cols = np.nonzero(skipped)  # row-major (i, j) order
-        warnings += [f"{ids[i]}/{ids[j]}: skipped {k} unshared word(s)" for i, j, k in zip(
-            (rows + lo).tolist(), cols.tolist(), skipped[rows, cols].astype(np.int64).tolist())]
     np.divide(sums, counts, out=sums)
-    return DistanceMatrix(ids, sums), warnings
+    return DistanceMatrix(corpus.region_ids, sums), counts
+
+
+def _coverage_warnings(ids: tuple[str, ...], shared: np.ndarray) -> list[str]:
+    """One line per region pair with unshared words, in row-major (i < j) order,
+    from region_distance_matrix's shared-word counts."""
+    sizes, warnings = np.diag(shared), []
+    for i in range(len(ids) - 1):
+        skipped = sizes[i] + sizes[i + 1:] - 2 * shared[i, i + 1:]
+        cols = np.flatnonzero(skipped)
+        warnings += [f"{ids[i]}/{ids[j]}: skipped {k} unshared word(s)" for j, k in zip(
+            (cols + i + 1).tolist(), skipped[cols].astype(np.int64).tolist())]
+    return warnings
 
 
 def dialect_cluster_pipeline(corpus: DialectCorpus, metric: str = "tone2vec",
@@ -174,7 +182,9 @@ def dialect_cluster_pipeline(corpus: DialectCorpus, metric: str = "tone2vec",
     for name in names:
         if name not in LINKAGES:
             raise InputError(f"unknown linkage {name!r}; choose one of {LINKAGES} or 'all'")
-    matrix, warnings = region_distance_matrix(corpus, metric)
+    matrix, shared = region_distance_matrix(corpus, metric)
+    warnings = _coverage_warnings(corpus.region_ids, shared)
+    del shared  # n x n, and the linkages do not need it
     gold = corpus.gold_labels()
 
     results = {}

@@ -30,6 +30,7 @@ from tonelab import (
     two_cluster_accuracy,
     VoicingError,
 )
+from tonelab import dialect
 from .synth import labelled_clip_set, tone_clip
 
 
@@ -251,9 +252,10 @@ def test_region_distance_is_symmetric_and_triangular_on_shared_words():
 def test_region_distance_matrix_reports_unshared_words():
     a = RegionLexicon("A", {"w1": parse_transcription("41"), "w2": parse_transcription("35")})
     b = RegionLexicon("B", {"w1": parse_transcription("312"), "w3": parse_transcription("51")})
-    matrix, warnings = region_distance_matrix(DialectCorpus((a, b)))
+    matrix, shared = region_distance_matrix(DialectCorpus((a, b)))
     assert matrix.values[0, 1] == pytest.approx(2.268354, abs=1e-6)
-    assert warnings == ["A/B: skipped 2 unshared word(s)"]
+    assert np.array_equal(shared, [[2, 1], [1, 2]])
+    assert dialect._coverage_warnings(("A", "B"), shared) == ["A/B: skipped 2 unshared word(s)"]
 
 
 def reference_region_matrix(corpus, metric):
@@ -265,6 +267,7 @@ def reference_region_matrix(corpus, metric):
     regions = corpus.regions
     n = len(regions)
     values = np.zeros((n, n))
+    shared_counts = np.diag([len(r.entries) for r in regions])
     warnings = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -277,10 +280,11 @@ def reference_region_matrix(corpus, metric):
             for w in shared:
                 total += fn(a.entries[w], b.entries[w])
             values[i, j] = values[j, i] = total / len(shared)
+            shared_counts[i, j] = shared_counts[j, i] = len(shared)
             skipped = len(a.entries.keys() ^ b.entries.keys())
             if skipped:
                 warnings.append(f"{a.region_id}/{b.region_id}: skipped {skipped} unshared word(s)")
-    return values, warnings
+    return values, shared_counts, warnings
 
 
 def random_corpus(seed, regions, words, coverage, pool):
@@ -302,18 +306,20 @@ ALL_TOKENS = [t.token for t in canonical_transcriptions()]
 def test_region_matrix_bit_identical_to_pair_loop_tone2vec(seed):
     corpus = random_corpus(seed, regions=8 + 2 * seed, words=60, coverage=0.6 + 0.05 * seed,
                            pool=ALL_TOKENS)
-    matrix, warnings = region_distance_matrix(corpus, "tone2vec")
-    ref, ref_warnings = reference_region_matrix(corpus, "tone2vec")
+    matrix, shared = region_distance_matrix(corpus, "tone2vec")
+    ref, ref_shared, ref_warnings = reference_region_matrix(corpus, "tone2vec")
     assert np.array_equal(matrix.values, ref)
-    assert warnings == ref_warnings
+    assert np.array_equal(shared, ref_shared)
+    assert dialect._coverage_warnings(corpus.region_ids, shared) == ref_warnings
 
 
 def test_region_matrix_bit_identical_to_pair_loop_tie_heavy_categorical():
     corpus = random_corpus(7, regions=40, words=12, coverage=0.8, pool=["55", "35", "214"])
-    matrix, warnings = region_distance_matrix(corpus, "categorical")
-    ref, ref_warnings = reference_region_matrix(corpus, "categorical")
+    matrix, shared = region_distance_matrix(corpus, "categorical")
+    ref, ref_shared, ref_warnings = reference_region_matrix(corpus, "categorical")
     assert np.array_equal(matrix.values, ref)
-    assert warnings == ref_warnings
+    assert np.array_equal(shared, ref_shared)
+    assert dialect._coverage_warnings(corpus.region_ids, shared) == ref_warnings
     assert len(np.unique(ref[np.triu_indices(len(ref), 1)])) < len(ref)  # many ties
 
 
@@ -327,10 +333,11 @@ def test_region_matrix_pair_sharing_one_word():
     )
     corpus = DialectCorpus(regions)
     for metric in ("tone2vec", "categorical"):
-        matrix, warnings = region_distance_matrix(corpus, metric)
-        ref, ref_warnings = reference_region_matrix(corpus, metric)
+        matrix, shared = region_distance_matrix(corpus, metric)
+        ref, ref_shared, ref_warnings = reference_region_matrix(corpus, metric)
         assert np.array_equal(matrix.values, ref)
-        assert warnings == ref_warnings
+        assert np.array_equal(shared, ref_shared)
+        assert dialect._coverage_warnings(corpus.region_ids, shared) == ref_warnings
         assert pair_distance(regions[0], regions[1], metric) == ref[0, 1]
 
 
@@ -367,14 +374,13 @@ def shared_word_corpus(seed, regions, words, coverage):
 @pytest.mark.parametrize("metric", ["tone2vec", "categorical"])
 @pytest.mark.parametrize("n", [63, 64, 65, 129])
 def test_region_matrix_blocks_bit_identical_to_pair_loop(n, metric):
-    from tonelab import dialect
-
     assert dialect._REGION_BLOCK == 64  # n = 65 and 129 end in a block of width 1
     corpus = shared_word_corpus(n, regions=n, words=12, coverage=0.3)
-    matrix, warnings = region_distance_matrix(corpus, metric)
-    ref, ref_warnings = reference_region_matrix(corpus, metric)
+    matrix, shared = region_distance_matrix(corpus, metric)
+    ref, ref_shared, ref_warnings = reference_region_matrix(corpus, metric)
     assert np.array_equal(matrix.values, ref)
-    assert warnings == ref_warnings
+    assert np.array_equal(shared, ref_shared)
+    assert dialect._coverage_warnings(corpus.region_ids, shared) == ref_warnings
     entries = [r.entries.keys() for r in corpus.regions]
     assert sum(len(a & b) == 1 for k, a in enumerate(entries) for b in entries[k + 1:]) > n
 
@@ -401,8 +407,9 @@ def test_region_matrix_names_first_pair_across_blocks():
 
 
 def test_region_matrix_holds_at_most_three_matrices_beyond_its_result():
-    """Besides what it returns, the region matrix holds the shared-word counts and
-    one block's work at a time: no count copies, quotients or triangles of n x n."""
+    """Besides what it returns, the matrix and the shared-word counts, the region
+    matrix holds one block's work at a time: no count copies, quotients or triangles
+    of n x n."""
     n = 400
     corpus = random_corpus(11, regions=n, words=20, coverage=0.9, pool=ALL_TOKENS)
     tracemalloc.start()
@@ -411,8 +418,29 @@ def test_region_matrix_holds_at_most_three_matrices_beyond_its_result():
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(result[1]) > n  # the warnings are part of what it returns
+    assert result[1].shape == (n, n)  # the shared-word counts are part of what it returns
     assert peak - current <= 3 * 8 * n * n
+
+
+def test_dialect_mds_formats_no_coverage_warnings(tmp_path):
+    """dialect-mds prints coordinates only, so it builds none of the 78,326 warning
+    lines of this corpus: its peak is the corpus, the matrix, the counts and MDS."""
+    from tonelab.cli import main
+
+    n = 400
+    corpus = random_corpus(11, regions=n, words=20, coverage=0.9, pool=ALL_TOKENS)
+    path = tmp_path / "corpus.tsv"
+    path.write_text("region\tword_id\ttranscription\n" + "".join(
+        f"{r.region_id}\t{w}\t{t.token}\n" for r in corpus.regions for w, t in r.entries.items()),
+        encoding="utf-8")
+    tracemalloc.start()
+    try:
+        assert main(["dialect-mds", "--corpus", str(path), "--dims", "2",
+                     "-o", str(tmp_path / "mds.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * n * n
 
 
 # ---------------------------------------------------------------------------
