@@ -11,13 +11,11 @@ from __future__ import annotations
 import contextlib
 import io
 import itertools
-import json
 import math
 import operator
 import os
 import re
 import sys
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -122,6 +120,8 @@ def _json(obj) -> Iterator[str]:
     """The package's one JSON format: sorted keys, 2-space indent, final newline, as an
     iterator over the pieces that json.dumps(obj, indent=2, sort_keys=True) joins and
     then the newline, so that _write sends a report out without holding its text."""
+    import json
+
     return itertools.chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj), ("\n",))
 
 
@@ -176,13 +176,45 @@ def _nonempty_lines(path: str | os.PathLike, what: str) -> list[tuple[int, str]]
                 if (text := line.strip())]
 
 
-@dataclass(frozen=True, order=True)
-class Transcription:
-    """An ordered sequence of 2 or 3 pitch digits, each in 1..5."""
+class _Value:
+    """Base of the three value classes below, which a frozen dataclass would make at
+    the cost of importing inspect at every launch. Each names its fields in
+    __match_args__ and sets them in __init__; they cannot be set or deleted after.
+    ==, hash and repr go by the fields in that order. pickle and copy restore
+    __dict__, which __setattr__ does not guard (a __slots__ class could not)."""
 
+    __match_args__: tuple[str, ...]
+
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self.__match_args__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={value!r}" for name, value in zip(self.__match_args__, self._astuple()))
+        return f"{self.__class__.__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Transcription(_Value):
+    """An ordered sequence of 2 or 3 pitch digits, each in 1..5; ordered by its digits."""
+
+    __match_args__ = ("digits",)
     digits: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, digits: tuple[int, ...]) -> None:
+        object.__setattr__(self, "digits", digits)
         if len(self.digits) not in (2, 3):
             raise TranscriptionError(
                 f"transcription must have 2 or 3 digits, got {len(self.digits)}"
@@ -190,6 +222,18 @@ class Transcription:
         for d in self.digits:
             if not isinstance(d, int) or isinstance(d, bool) or not 1 <= d <= 5:
                 raise TranscriptionError(f"pitch digit out of range 1..5: {d!r}")
+
+    def __lt__(self, other):
+        return self.digits < other.digits if other.__class__ is self.__class__ else NotImplemented
+
+    def __le__(self, other):
+        return self.digits <= other.digits if other.__class__ is self.__class__ else NotImplemented
+
+    def __gt__(self, other):
+        return self.digits > other.digits if other.__class__ is self.__class__ else NotImplemented
+
+    def __ge__(self, other):
+        return self.digits >= other.digits if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def token(self) -> str:
@@ -222,13 +266,17 @@ def parse_transcription(text: str) -> Transcription:
     return t
 
 
-@dataclass(frozen=True)
-class PitchCurve:
+class PitchCurve(_Value):
     """Polynomial a*x^2 + b*x + c modelling pitch variation on x in [1, 3]."""
 
+    __match_args__ = ("a", "b", "c")
     a: float
     b: float
     c: float
+
+    def __init__(self, a: float, b: float, c: float) -> None:
+        for name, value in zip(self.__match_args__, (a, b, c)):
+            object.__setattr__(self, name, value)
 
     def __call__(self, x):
         return (self.a * x + self.b) * x + self.c
@@ -458,13 +506,14 @@ def tone_distance_database() -> DistanceMatrix:
     return build_distance_matrix(canonical_transcriptions())
 
 
-@dataclass(frozen=True)
-class NormalizedContour:
+class NormalizedContour(_Value):
     """Three relative-pitch samples in [0, 1]."""
 
+    __match_args__ = ("values",)
     values: tuple[float, float, float]
 
-    def __post_init__(self) -> None:
+    def __init__(self, values: tuple[float, float, float]) -> None:
+        object.__setattr__(self, "values", values)
         if len(self.values) != 3:
             raise InputError("normalized contour must have exactly 3 values")
         for v in self.values:

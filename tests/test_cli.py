@@ -173,13 +173,16 @@ def test_transcribe_imports_no_scipy(rise_wav):
     assert out.splitlines()[-1] == "0 []"
 
 
+WATCHED = ("numpy", "numpy.random", "dataclasses", "inspect", "json", "tonelab")
+
+
 def _modules_loaded_by(*argv):
-    """The numpy, numpy.random and tonelab.* modules a child has loaded after main(argv),
-    which must succeed."""
-    code = ("import json, sys\nfrom tonelab.cli import main\n"
+    """The WATCHED and tonelab.* modules a child has loaded after main(argv), which must
+    succeed. The child lists them before it imports json to print them."""
+    code = ("import sys\nfrom tonelab.cli import main\n"
             "try:\n    status = main(sys.argv[1:])\nexcept SystemExit as exc:\n    status = exc.code\n"
-            "print(json.dumps([status, [m for m in sys.modules if m in ('numpy', 'numpy.random', "
-            "'tonelab') or m.startswith('tonelab.')]]))")
+            f"loaded = [m for m in sys.modules if m in {WATCHED!r} or m.startswith('tonelab.')]\n"
+            "import json\nprint(json.dumps([status, loaded]))")
     out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                          text=True, check=True).stdout
     status, modules = json.loads(out.splitlines()[-1])
@@ -190,7 +193,9 @@ def _modules_loaded_by(*argv):
 @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["dist", "--help"],
                                   ["train", "--help"], ["dialect-cluster", "--help"]])
 def test_version_and_help_load_no_numpy(argv):
-    assert "numpy" not in _modules_loaded_by(*argv)
+    loaded = _modules_loaded_by(*argv)
+    assert "numpy" not in loaded
+    assert "dataclasses" not in loaded
 
 
 AUDIO_AND_SURVEY = {"tonelab.cluster", "tonelab.dialect", "tonelab.learn", "tonelab.pitch"}
@@ -207,8 +212,8 @@ def test_tone_commands_load_no_audio_or_survey_modules(argv, tmp_path):
     assert "tonelab.tones" in loaded
     assert not loaded & AUDIO_AND_SURVEY
     # the tone table, its matrices' CSV, one pair's distance and the variance
-    # metric are pure Python
-    assert "numpy" not in loaded
+    # metric are pure Python, and their value classes are not dataclasses
+    assert not loaded & {"numpy", "dataclasses", "inspect", "json"}
 
 
 def test_closed_stdout_exits_1_without_a_traceback():

@@ -1,6 +1,9 @@
+import copy
 import io
 import json
 import math
+import operator
+import pickle
 import struct
 import subprocess
 import sys
@@ -14,6 +17,8 @@ from scipy.integrate import quad
 from tonelab import (
     DistanceMatrix,
     InputError,
+    NormalizedContour,
+    PitchCurve,
     ToneLabError,
     Transcription,
     TranscriptionError,
@@ -88,6 +93,107 @@ def test_transcription_validates_digits():
 @given(token_st)
 def test_parse_round_trips(token):
     assert parse_transcription(token).token == token
+
+
+# ---------------------------------------------------------------------------
+# value classes: what a caller sees is what frozen dataclasses showed
+
+
+VALUES = [
+    (Transcription((3, 1, 2)), "Transcription(digits=(3, 1, 2))", ("digits",), ((3, 1, 2),)),
+    (PitchCurve(0.5, -2.5, 5.0), "PitchCurve(a=0.5, b=-2.5, c=5.0)", ("a", "b", "c"),
+     (0.5, -2.5, 5.0)),
+    (NormalizedContour((1.0, 0.0, 0.5)), "NormalizedContour(values=(1.0, 0.0, 0.5))",
+     ("values",), ((1.0, 0.0, 0.5),)),
+]
+
+
+@pytest.mark.parametrize("value, text, names, fields", VALUES,
+                         ids=["Transcription", "PitchCurve", "NormalizedContour"])
+def test_value_classes_compare_hash_show_and_copy_by_their_fields(value, text, names, fields):
+    cls = type(value)
+    twin = cls(**dict(zip(names, fields)))
+    assert twin is not value and twin == value and not twin != value
+    assert hash(twin) == hash(value) == hash(fields)
+    assert cls.__match_args__ == names
+    assert tuple(getattr(value, name) for name in names) == fields
+    assert repr(value) == text
+    assert value != fields and value.__eq__(fields) is NotImplemented
+    assert all(value != other for other, *_ in VALUES if type(other) is not cls)
+    changed = cls(*fields[:-1], fields[-1][::-1] if isinstance(fields[-1], tuple) else -fields[-1])
+    assert changed != value and not changed == value
+    # a __slots__ class whose __setattr__ raises could not be unpickled by default
+    copies = [pickle.loads(pickle.dumps(value, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copied in (*copies, copy.copy(value), copy.deepcopy(value)):
+        assert type(copied) is cls and copied == value and repr(copied) == text
+        assert hash(copied) == hash(value)
+    for name in (*names, "other"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, fields[0])
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in names) == fields
+    with pytest.raises(TypeError):
+        cls(*fields, fields[0])
+    with pytest.raises(TypeError):
+        cls(*fields[:-1])
+
+
+def test_value_classes_match_their_fields_by_position():
+    match Transcription((3, 5)):
+        case PitchCurve() | NormalizedContour():
+            raise AssertionError("matched another class")
+        case Transcription(digits):
+            assert digits == (3, 5)
+    match PitchCurve(0.0, 1.0, 2.0):
+        case PitchCurve(a, b, c):
+            assert (a, b, c) == (0.0, 1.0, 2.0)
+    match normalize_contour(parse_transcription("35")):
+        case NormalizedContour(values):
+            assert values == (0.0, 0.5, 1.0)
+
+
+COMPARISONS = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
+def test_transcriptions_order_by_digits_and_only_among_themselves():
+    ts = canonical_transcriptions()
+    assert [t.digits for t in sorted(ts)] == sorted(t.digits for t in ts)
+    low, high = Transcription((3, 5)), Transcription((3, 5, 1))
+    assert [op(low, high) for op in COMPARISONS] == [True, True, False, False]
+    assert [op(high, low) for op in COMPARISONS] == [False, False, True, True]
+    assert [op(low, Transcription((3, 5))) for op in COMPARISONS] == [False, True, False, True]
+    for other in ((3, 5), "35", PitchCurve(0.0, 1.0, 2.0)):
+        for op in COMPARISONS:
+            with pytest.raises(TypeError):
+                op(low, other)
+            with pytest.raises(TypeError):
+                op(other, low)
+    for value, *_ in VALUES[1:]:
+        for op in COMPARISONS:
+            with pytest.raises(TypeError):
+                op(value, value)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Transcription((3,)), TranscriptionError,
+     "transcription must have 2 or 3 digits, got 1"),
+    (lambda: Transcription((3, 5, 1, 2)), TranscriptionError,
+     "transcription must have 2 or 3 digits, got 4"),
+    (lambda: Transcription((0, 3)), TranscriptionError, "pitch digit out of range 1..5: 0"),
+    (lambda: Transcription((3, True)), TranscriptionError,
+     "pitch digit out of range 1..5: True"),
+    (lambda: Transcription((3, 5.0)), TranscriptionError, "pitch digit out of range 1..5: 5.0"),
+    (lambda: NormalizedContour((0.5, 0.5)), InputError,
+     "normalized contour must have exactly 3 values"),
+    (lambda: NormalizedContour((0.5, 1.5, 0.0)), InputError,
+     "normalized contour value outside [0, 1]: 1.5"),
+])
+def test_value_classes_refuse_bad_fields_with_the_same_messages(make, error, message):
+    with pytest.raises(error) as caught:
+        make()
+    assert str(caught.value) == message
 
 
 # ---------------------------------------------------------------------------
