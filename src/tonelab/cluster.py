@@ -269,7 +269,7 @@ def dbscan(points: Sequence[Sequence[float]], eps: float, min_samples: int) -> C
 def classical_mds(d: DistanceMatrix, dims: int) -> np.ndarray:
     """Torgerson MDS coordinates, shape (n, dims).
 
-    Double-centers the squared distances by their row means and takes the top
+    Double-centers the squared distances in place by their row means, takes the top
     `dims` eigenpairs (of the lower triangle, by `numpy.linalg.eigh`), largest
     first; each eigenvector is scaled by the square root of its eigenvalue
     (negative ones count as 0) and sign-fixed so the first item is nonnegative.
@@ -283,8 +283,11 @@ def classical_mds(d: DistanceMatrix, dims: int) -> np.ndarray:
     d2, e = _scaled(d, 240)
     d2 *= d2
     r = d2.mean(axis=1)
-    b = -0.5 * (d2 - (r[:, None] + r) + r.mean())  # as symmetric as d2: r_i + r_j == r_j + r_i
-    w, v = np.linalg.eigh(b)  # ascending eigenvalues
+    # b = -0.5 * (d2 - (r_i + r_j) + mean r) in place, each entry's operations in that order
+    d2 -= r[:, None] + r  # as symmetric as d2: r_i + r_j == r_j + r_i
+    d2 += r.mean()
+    d2 *= -0.5
+    w, v = np.linalg.eigh(d2)  # ascending eigenvalues
     coords = v[:, ::-1][:, :dims] * np.sqrt(np.maximum(w[::-1][:dims], 0.0))
     return np.ldexp(coords * np.where(coords[0] < 0, -1.0, 1.0), e)
 

@@ -12,12 +12,11 @@ import contextlib
 import io
 import itertools
 import math
-import operator
 import os
 import re
 import sys
-from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence, TextIO
+from collections.abc import Iterable, Iterator, Sequence
+from functools import cached_property, lru_cache, total_ordering
 
 from .errors import InputError, ToneLabError, TranscriptionError
 
@@ -33,7 +32,7 @@ _BATCH = 1 << 16  # characters per write: encoding a large output whole would ad
 
 
 @contextlib.contextmanager
-def _output(path: str | os.PathLike | None) -> Iterator[TextIO]:
+def _output(path: str | os.PathLike | None) -> Iterator[io.TextIOBase]:
     """Open the output for the block: sys.stdout if path is None, left open after it,
     or else the file at path, written as UTF-8. An OSError other than BrokenPipeError,
     from the open or from a write in the block, raises InputError naming the path
@@ -49,7 +48,7 @@ def _output(path: str | os.PathLike | None) -> Iterator[TextIO]:
         raise InputError(f"cannot write {name}: {exc.strerror or exc}") from exc
 
 
-def _write_all(pieces: Iterable[str], fh: TextIO) -> None:
+def _write_all(pieces: Iterable[str], fh: io.TextIOBase) -> None:
     """Write the concatenated pieces to an open text stream in slices of _BATCH
     characters, the last one shorter; at most _BATCH characters and one piece wait."""
     batch: list[str] = []
@@ -76,7 +75,7 @@ def _write(pieces: Iterable[str], path: str | os.PathLike | None) -> None:
 
 
 def _csv(header: Sequence[str], rows: Iterable[Sequence],
-         out: str | os.PathLike | TextIO | None = None) -> str | None:
+         out: str | os.PathLike | io.TextIOBase | None = None) -> str | None:
     """The package's one CSV format: a header row, then one line per row, cells
     joined by commas, each line ended by a newline. A float cell (numpy's float64
     included) is written with 6 decimals, any other cell with str(), so a str cell
@@ -207,6 +206,7 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+@total_ordering
 class Transcription(_Value):
     """An ordered sequence of 2 or 3 pitch digits, each in 1..5; ordered by its digits."""
 
@@ -225,15 +225,6 @@ class Transcription(_Value):
 
     def __lt__(self, other):
         return self.digits < other.digits if other.__class__ is self.__class__ else NotImplemented
-
-    def __le__(self, other):
-        return self.digits <= other.digits if other.__class__ is self.__class__ else NotImplemented
-
-    def __gt__(self, other):
-        return self.digits > other.digits if other.__class__ is self.__class__ else NotImplemented
-
-    def __ge__(self, other):
-        return self.digits >= other.digits if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def token(self) -> str:
@@ -406,28 +397,19 @@ class DistanceMatrix:
     """Symmetric nonnegative distance matrix with labelled rows; its attributes
     cannot be set.
 
-    DistanceMatrix(labels, values) checks the array and keeps it as float64. A
-    matrix of build_distance_matrix keeps each label's canonical code instead
-    (``codes``, None for an array): its ``values`` is the tone table on those rows
-    and columns, formed on first read and read-only, and _rows() has checked it.
+    DistanceMatrix(labels, values) checks the array and keeps it as float64, with
+    ``codes`` None. A matrix of build_distance_matrix keeps each label's canonical
+    code in ``codes`` instead: its ``values`` is the tone table on those rows and
+    columns, formed on first read and read-only, and _rows() has checked it.
     """
 
-    def __init__(self, labels: Sequence[str], values=None, *,
-                 codes: Sequence[int] | None = None) -> None:
-        object.__setattr__(self, "labels", tuple(labels))
-        n = len(self.labels)
-        if codes is not None:
-            try:  # operator.index takes numpy ints and refuses 1.5 and 2.0
-                codes = tuple(map(operator.index, codes))
-            except TypeError:
-                codes = ()  # refused below
-            if n == 0 or len(codes) != n or not 0 <= min(codes) <= max(codes) < 150:
-                raise InputError(f"need one canonical code in 0..149 for each of {n} >= 1 labels")
-        object.__setattr__(self, "codes", codes)
-        if codes is not None:
-            return
+    codes: tuple[int, ...] | None = None
+
+    def __init__(self, labels: Sequence[str], values) -> None:
         import numpy as np
 
+        object.__setattr__(self, "labels", tuple(labels))
+        n = len(self.labels)
         v = np.asarray(values, dtype=float)
         object.__setattr__(self, "values", v)
         if v.shape != (n, n):
@@ -461,7 +443,7 @@ class DistanceMatrix:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def to_csv(self, path: str | os.PathLike | TextIO | None = None) -> str | None:
+    def to_csv(self, path: str | os.PathLike | io.TextIOBase | None = None) -> str | None:
         """Serialize as CSV: header row of labels, then labelled rows, 6 decimals.
 
         Returns the text, also written to path if one is given. Given an open text
@@ -484,7 +466,9 @@ def build_distance_matrix(ls: Sequence[Transcription]) -> DistanceMatrix:
     labels' canonical codes, so its values are formed only when read."""
     if len(ls) == 0:
         raise InputError("cannot build a distance matrix from an empty list")
-    return DistanceMatrix(tuple(t.token for t in ls), codes=[_CODES[t.digits] for t in ls])
+    m = object.__new__(DistanceMatrix)  # no array to check: the codes come from _CODES
+    vars(m).update(labels=tuple(t.token for t in ls), codes=tuple(_CODES[t.digits] for t in ls))
+    return m
 
 
 def canonical_transcriptions() -> list[Transcription]:

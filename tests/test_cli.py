@@ -173,17 +173,18 @@ def test_transcribe_imports_no_scipy(rise_wav):
     assert out.splitlines()[-1] == "0 []"
 
 
-WATCHED = ("numpy", "numpy.random", "dataclasses", "inspect", "json", "tonelab")
+WATCHED = ("numpy", "numpy.random", "dataclasses", "inspect", "json", "typing", "tonelab")
 
 
-def _modules_loaded_by(*argv):
-    """The WATCHED and tonelab.* modules a child has loaded after main(argv), which must
-    succeed. The child lists them before it imports json to print them."""
+def _modules_loaded_by(*argv, flags=()):
+    """The WATCHED and tonelab.* modules a child, started with the interpreter flags,
+    has loaded after main(argv), which must succeed. The child lists them before it
+    imports json to print them."""
     code = ("import sys\nfrom tonelab.cli import main\n"
             "try:\n    status = main(sys.argv[1:])\nexcept SystemExit as exc:\n    status = exc.code\n"
             f"loaded = [m for m in sys.modules if m in {WATCHED!r} or m.startswith('tonelab.')]\n"
             "import json\nprint(json.dumps([status, loaded]))")
-    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+    out = subprocess.run([sys.executable, *flags, "-c", code, *argv], capture_output=True,
                          text=True, check=True).stdout
     status, modules = json.loads(out.splitlines()[-1])
     assert status == 0
@@ -214,6 +215,15 @@ def test_tone_commands_load_no_audio_or_survey_modules(argv, tmp_path):
     # the tone table, its matrices' CSV, one pair's distance and the variance
     # metric are pure Python, and their value classes are not dataclasses
     assert not loaded & {"numpy", "dataclasses", "inspect", "json"}
+
+
+@pytest.mark.parametrize("argv", [["dist", "41", "312"], ["dist", "--matrix"],
+                                  ["variance", "445", "45"]])
+def test_tone_commands_load_no_typing(argv):
+    # -S: a .pth file in site-packages may import typing before tonelab starts
+    loaded = _modules_loaded_by(*argv, flags=("-S",))
+    assert "tonelab.tones" in loaded
+    assert "typing" not in loaded
 
 
 def test_closed_stdout_exits_1_without_a_traceback():

@@ -759,9 +759,37 @@ def test_mds_row_mean_centring_matches_product_centring(n, asymmetry):
             assert np.abs(mine - ref).max() <= tol * np.abs(ref).max(), (dim, dims)
 
 
-def test_mds_holds_at_most_three_and_a_half_matrices():
-    """The squares and the centred matrix, then eigh's eigenvectors: no centring
-    matrix and no products."""
+def _expression_centred_mds(dm, dims):
+    """classical_mds as it was before it centred in place, frozen as an oracle: the
+    centred matrix formed by one expression beside the squares."""
+    e = math.frexp(float(dm.values.max()))[1] - 240
+    d2 = np.ldexp(dm.values, -e)
+    d2 *= d2
+    r = d2.mean(axis=1)
+    b = -0.5 * (d2 - (r[:, None] + r) + r.mean())
+    w, v = np.linalg.eigh(b)
+    coords = v[:, ::-1][:, :dims] * np.sqrt(np.maximum(w[::-1][:dims], 0.0))
+    return np.ldexp(coords * np.where(coords[0] < 0, -1.0, 1.0), e)
+
+
+@pytest.mark.parametrize("kind", ["normal-5d", "int0-2", "deciles"])
+@pytest.mark.parametrize("k", [0, 700, -700])
+def test_mds_centred_in_place_bit_identical_to_expression(kind, k):
+    """Each entry meets the same operations in the same order, so eigh gets the same
+    bits, tied eigenvalues (int0-2, deciles) included."""
+    rng = np.random.default_rng([len(kind), k + 1000])
+    for n in (3, 8, 40, 300):
+        dm = (_normal_points_matrix(n, n) if kind == "normal-5d"
+              else _seeded_matrix(rng, n, kind, jitter=False))
+        dm = DistanceMatrix(dm.labels, np.ldexp(dm.values, k))
+        for dims in (1, 2):
+            assert np.array_equal(classical_mds(dm, dims), _expression_centred_mds(dm, dims)), \
+                (n, dims)
+
+
+def test_mds_holds_at_most_two_and_a_half_matrices():
+    """The squares, centred in place, then eigh's own copy and its eigenvectors: no
+    centred copy beside the squares, no centring matrix and no products."""
     n = 400
     pts = np.random.default_rng(3).normal(size=(n, 5))
     dm = DistanceMatrix(tuple(map(str, range(n))),
@@ -772,7 +800,7 @@ def test_mds_holds_at_most_three_and_a_half_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * 8 * n * n
+    assert peak <= 2.5 * 8 * n * n
 
 
 @pytest.mark.parametrize("linkage", ["sl", "wa"])
