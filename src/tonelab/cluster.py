@@ -41,16 +41,14 @@ NOISE = -1
 
 @dataclass(frozen=True)
 class Dendrogram:
-    """Merge history: item ids are 0..n-1, merge m creates cluster id n+m."""
+    """Merge history of n items in n - 1 steps: item ids are 0..n-1, merge m
+    creates cluster id n+m."""
 
-    n_items: int
     steps: tuple[tuple[int, int, float, int], ...]  # (a, b, height, new_size)
 
-    def __post_init__(self) -> None:
-        if len(self.steps) != self.n_items - 1:
-            raise InputError(
-                f"dendrogram for {self.n_items} items needs {self.n_items - 1} steps"
-            )
+    @property
+    def n_items(self) -> int:
+        return len(self.steps) + 1
 
     def to_csv(self, path: str | os.PathLike | None = None) -> str:
         return _csv(("cluster_a", "cluster_b", "height", "new_size"), self.steps, path)
@@ -114,8 +112,8 @@ def hierarchical_cluster(d: DistanceMatrix, linkage: str) -> Dendrogram:
     # slot of its smaller id. Arrays indexed by id are in id order; a new cluster's
     # id is the largest so far, and dead ids hold an inf cache. For a current id c,
     # cache[c] is the least work[slot[c], slot[k]] over active ids k > c and nbr[c]
-    # the first such k. A stale id lost its neighbour to a merge: its cache is then
-    # only a lower bound, and it is rescanned when it comes first.
+    # the first such k. An id whose nbr is dead lost its neighbour to a merge: its
+    # cache is then only a lower bound, and it is rescanned when it comes first.
     work, e = _scaled(d, 480 if squared else 1000)
     if squared:
         work *= work
@@ -123,7 +121,6 @@ def hierarchical_cluster(d: DistanceMatrix, linkage: str) -> Dendrogram:
     sizes = np.ones(n, dtype=np.int64)  # by slot
     alive = np.zeros(2 * n - 1, dtype=bool)
     alive[:n] = True
-    stale = np.zeros(2 * n - 1, dtype=bool)
     cache = np.full(2 * n - 1, np.inf)
     nbr = np.zeros(2 * n - 1, dtype=np.intp)
     for lo in range(0, n, _ROW_BLOCK):  # the first scan, without an n x n block
@@ -136,8 +133,7 @@ def hierarchical_cluster(d: DistanceMatrix, linkage: str) -> Dendrogram:
         # first minimum over the active pairs (i, j), i < j: every cache is at most
         # its row's minimum, so no smaller (i, j) can tie it.
         i = int(cache[:new].argmin())
-        while stale[i]:
-            stale[i] = False
+        while not alive[nbr[i]]:
             _rescan(work, np.array([i]), alive[:new].nonzero()[0], slot, cache, nbr)
             i = int(cache[:new].argmin())
         j = int(nbr[i])
@@ -158,15 +154,12 @@ def hierarchical_cluster(d: DistanceMatrix, linkage: str) -> Dendrogram:
         cache[i] = cache[j] = np.inf
         # Every row gains the new cluster as its last candidate. Only a strictly
         # smaller entry replaces a cache, and it is then the row's unique minimum,
-        # so even a stale row becomes current.
-        old = nbr[rest]
-        stale[rest[(old == i) | (old == j)]] = True
+        # so even a row whose nbr was i or j becomes current.
         take = upd < cache[rest]
         closer = rest[take]
         cache[closer] = upd[take]
         nbr[closer] = new
-        stale[closer] = False
-    return Dendrogram(n, tuple(steps))
+    return Dendrogram(tuple(steps))
 
 
 def _rescan(work: np.ndarray, rows: np.ndarray, active: np.ndarray, slot: np.ndarray,
@@ -243,14 +236,12 @@ def dbscan(points: Sequence[Sequence[float]], eps: float, min_samples: int) -> C
         neighbors.append(np.flatnonzero(np.sqrt((r * r).sum(axis=1)) <= eps))
     is_core = np.array([len(nb) >= min_samples for nb in neighbors])
 
-    labels = [NOISE] * n
-    visited = [False] * n
+    labels = [NOISE] * n  # NOISE until a cluster reaches the point, then set once
     cluster = 0
     for seed in range(n):
-        if visited[seed] or not is_core[seed]:
+        if labels[seed] != NOISE or not is_core[seed]:
             continue
         queue = deque([seed])
-        visited[seed] = True
         labels[seed] = cluster
         while queue:
             p = queue.popleft()
@@ -259,8 +250,6 @@ def dbscan(points: Sequence[Sequence[float]], eps: float, min_samples: int) -> C
             for q in neighbors[p]:  # ascending index
                 if labels[q] == NOISE:
                     labels[q] = cluster
-                if not visited[q]:
-                    visited[q] = True
                     queue.append(q)
         cluster += 1
     return ClusterAssignment(tuple(labels))

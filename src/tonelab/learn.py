@@ -32,7 +32,8 @@ PitchTriple = tuple[float, float, float]
 
 _MODEL_FORMAT = "tonelab-linear-tone-model"
 _MODEL_VERSION = 1
-_SQUASH = {"offset": 1.0, "scale": 4.0}  # the z = 1 + 4*sigmoid(u) that embed applies
+_OFFSET, _SCALE = 1.0, 4.0  # z = _OFFSET + _SCALE * sigmoid(u), in [1, 5]
+_SQUASH = {"offset": _OFFSET, "scale": _SCALE}  # what model files declare
 
 
 def _label_points(y: Transcription) -> tuple[float, float, float]:
@@ -179,15 +180,21 @@ class LinearToneModel:
             return cls.from_json(text)
 
 
+def _squash(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, z): the sigmoid of the pre-activations u and the pitch levels it gives."""
+    s = 1.0 / (1.0 + np.exp(-u))
+    return s, _OFFSET + _SCALE * s
+
+
 def embed(model: LinearToneModel, x) -> PitchTriple:
-    """Forward pass: the predicted pitch triple for one feature vector."""
+    """Forward pass: the predicted pitch triple for one feature vector, the z of
+    _squash, bit for bit 1 + 4 / (1 + exp(-(W x + b)))."""
     arr = _as_feature_array(x)
     if arr.shape[0] != model.n_features:
         raise InputError(
             f"feature length {arr.shape[0]} does not match model ({model.n_features})"
         )
-    u = model.weights @ arr + model.bias
-    z = 1.0 + 4.0 / (1.0 + np.exp(-u))
+    _, z = _squash(model.weights @ arr + model.bias)
     return (float(z[0]), float(z[1]), float(z[2]))
 
 
@@ -280,16 +287,11 @@ def train_tone_model(
     draws = np.array(_uniform_draws(operator.index(seed), 3 * k + 3, -0.1, 0.1))
     weights, bias = draws[:-3].reshape(3, k), draws[-3:]
 
-    def forward(w, b):
-        u = x_mat @ w.T + b  # (n, 3)
-        s = 1.0 / (1.0 + np.exp(-u))
-        return s, 1.0 + 4.0 * s
-
     history = []
     best_loss = math.inf
     best = (weights.copy(), bias.copy())
     for epoch in range(epochs + 1):  # the last pass scores the final parameters
-        s, z = forward(weights, bias)
+        s, z = _squash(x_mat @ weights.T + bias)  # (n, 3)
         loss = float(np.abs(z - targets).sum())
         history.append(loss)
         if loss < best_loss:
@@ -297,8 +299,8 @@ def train_tone_model(
             best = (weights.copy(), bias.copy())
         if epoch == epochs:
             break
-        # dL/du = sign(z - target) * 4 s (1 - s), summed over the batch
-        g_u = np.sign(z - targets) * 4.0 * s * (1.0 - s)
+        # dL/du = sign(z - target) * _SCALE s (1 - s), summed over the batch
+        g_u = np.sign(z - targets) * _SCALE * s * (1.0 - s)
         g_w = g_u.T @ x_mat + 2.0 * l2 * weights
         g_b = g_u.sum(axis=0)
         weights = weights - lr * g_w

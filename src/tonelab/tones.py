@@ -471,17 +471,15 @@ def build_distance_matrix(ls: Sequence[Transcription]) -> DistanceMatrix:
     return m
 
 
-def canonical_transcriptions() -> list[Transcription]:
-    """All 150 transcriptions: 25 two-digit then 125 three-digit, ascending."""
-    out = []
-    for k in (2, 3):
-        for digits in itertools.product(PITCH_LEVELS, repeat=k):
-            out.append(Transcription(digits))
-    return out
-
-
-_INTERNED = {t.token: t for t in canonical_transcriptions()}
+_INTERNED = {t.token: t for k in (2, 3)
+             for t in map(Transcription, itertools.product(PITCH_LEVELS, repeat=k))}
 _CODES = {t.digits: code for code, t in enumerate(_INTERNED.values())}  # digits -> canonical code
+
+
+def canonical_transcriptions() -> list[Transcription]:
+    """All 150 transcriptions: 25 two-digit then 125 three-digit, ascending. A new
+    list on each call, of the shared instances that parse_transcription returns."""
+    return list(_INTERNED.values())
 
 
 @lru_cache(maxsize=1)

@@ -541,9 +541,12 @@ def test_cut_tree_range_check():
             cut_tree(dg, bad)
 
 
-def test_dendrogram_step_count_enforced():
-    with pytest.raises(InputError):
-        Dendrogram(3, ((0, 1, 1.0, 2),))
+def test_dendrogram_size_is_read_off_its_steps():
+    steps = ((0, 1, 1.0, 2), (2, 3, 1.5, 3))
+    assert Dendrogram(steps).n_items == len(steps) + 1 == 3
+    assert _four_point_dendrogram().n_items == 4
+    with pytest.raises(TypeError):
+        Dendrogram(3, steps)
 
 
 def test_dendrogram_csv():

@@ -200,6 +200,24 @@ def test_embed_is_deterministic_and_bounded():
     assert all(1.0 <= v <= 5.0 for v in z1)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+def test_embed_bit_identical_to_frozen_expression():
+    # pre-activations from -800 to 800: exp overflows, and the sigmoid goes subnormal
+    rng = np.random.default_rng(27)
+    models = [LinearToneModel(rng.normal(size=(3, k)) * scale, rng.normal(size=3) * scale)
+              for k, scale in ((2, 1.0), (8, 1.0), (20, 30.0), (20, 150.0)) for _ in range(50)]
+    inputs = [(model, rng.normal(size=model.n_features)) for model in models]
+    for u in (-800.0, -745.0, -720.0, -709.0, -40.0, -0.5, 0.0, 0.5, 40.0, 709.0, 745.0, 800.0):
+        inputs.append((LinearToneModel(np.zeros((3, 2)), np.array([u, -u, u / 2])), np.zeros(2)))
+    pre = np.array([model.weights @ x + model.bias for model, x in inputs])
+    sigmoid = 1.0 / (1.0 + np.exp(-pre))
+    assert pre.min() <= -800.0 and pre.max() >= 800.0
+    assert ((0.0 < sigmoid) & (sigmoid < 2.0**-1022)).any()  # a subnormal one
+    for model, x in inputs:
+        expected = 1.0 + 4.0 / (1.0 + np.exp(-(model.weights @ x + model.bias)))
+        assert np.array_equal(embed(model, x), expected)
+
+
 def test_embed_length_mismatch():
     model = LinearToneModel(np.zeros((3, 4)), np.zeros(3))
     with pytest.raises(InputError):

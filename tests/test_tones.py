@@ -95,6 +95,15 @@ def test_parse_round_trips(token):
     assert parse_transcription(token).token == token
 
 
+def test_canonical_transcriptions_are_the_shared_instances_in_a_new_list():
+    first, second = canonical_transcriptions(), canonical_transcriptions()
+    assert first == second and first is not second
+    assert all(a is b for a, b in zip(first, second))
+    assert all(parse_transcription(t.token) is t for t in first)
+    first.clear()
+    assert len(canonical_transcriptions()) == 150
+
+
 # ---------------------------------------------------------------------------
 # value classes: what a caller sees is what frozen dataclasses showed
 
@@ -724,7 +733,7 @@ def _writer_cases():
                    _old_mds_csv(m.labels, coords))
     # -0.0 heights, one step, Python and numpy float64 heights
     for h in (-0.0, 0.0, 1.5, np.float64(-0.0), np.float64(2.0000005)):
-        dg = cluster.Dendrogram(2, ((0, 1, h, 2),))
+        dg = cluster.Dendrogram(((0, 1, h, 2),))
         yield f"dendrogram-one-{h!r}", dg.to_csv(), _old_dendrogram_csv(dg)
     for coords in ([[-0.0]], [[1.25, -0.0]], np.array([[-0.0, 3.0000005]])):
         yield (f"mds-one-{coords!r}", cluster.mds_to_csv(["r"], coords),
