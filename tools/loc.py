@@ -1,4 +1,4 @@
-"""Count the lines of the tonelab package: python3 tools/loc.py [package dir].
+"""Count the lines of the tonelab package: python3 tools/loc.py.
 
 Prints two counts over the package's .py files: every line (as `wc -l` counts
 them), and the code lines, which are the lines that hold a token other than a
@@ -7,7 +7,6 @@ that makes up a whole statement, are not code lines. Stdlib only.
 """
 import io
 import pathlib
-import sys
 import tokenize
 
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -29,9 +28,8 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def main(argv: list[str]) -> None:
-    default = pathlib.Path(__file__).resolve().parents[1] / "src" / "tonelab"
-    root = pathlib.Path(argv[1]) if len(argv) > 1 else default
+def main() -> None:
+    root = pathlib.Path(__file__).resolve().parents[1] / "src" / "tonelab"
     sources = [path.read_text(encoding="utf-8") for path in sorted(root.glob("*.py"))]
     total = sum(text.count("\n") for text in sources)
     print(f"{root}: {len(sources)} files")
@@ -40,4 +38,4 @@ def main(argv: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv)
+    main()
