@@ -229,11 +229,12 @@ def dbscan(points: Sequence[Sequence[float]], eps: float, min_samples: int) -> C
     if pts.ndim != 2:
         raise InputError("points must share a single vector dimension")
     n = len(pts)
+    index = np.int32 if n <= 1 << 31 else np.intp  # holds every index below n in 4 bytes
 
     neighbors = []
     for p in pts:  # one row at a time: O(n * d) memory
         r = p - pts
-        neighbors.append(np.flatnonzero(np.sqrt((r * r).sum(axis=1)) <= eps))
+        neighbors.append(np.flatnonzero(np.sqrt((r * r).sum(axis=1)) <= eps).astype(index))
     is_core = np.array([len(nb) >= min_samples for nb in neighbors])
 
     labels = [NOISE] * n  # NOISE until a cluster reaches the point, then set once

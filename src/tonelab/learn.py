@@ -181,7 +181,9 @@ class LinearToneModel:
 
 
 def _squash(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(s, z): the sigmoid of the pre-activations u and the pitch levels it gives."""
+    """(s, z): the sigmoid of the pre-activations u and the pitch levels it gives.
+    exp(-u) overflows to inf below u = -709, where 1 / (1 + inf) is exactly 0:
+    callers ignore that overflow."""
     s = 1.0 / (1.0 + np.exp(-u))
     return s, _OFFSET + _SCALE * s
 
@@ -194,7 +196,8 @@ def embed(model: LinearToneModel, x) -> PitchTriple:
         raise InputError(
             f"feature length {arr.shape[0]} does not match model ({model.n_features})"
         )
-    _, z = _squash(model.weights @ arr + model.bias)
+    with np.errstate(over="ignore"):
+        _, z = _squash(model.weights @ arr + model.bias)
     return (float(z[0]), float(z[1]), float(z[2]))
 
 
@@ -290,21 +293,22 @@ def train_tone_model(
     history = []
     best_loss = math.inf
     best = (weights.copy(), bias.copy())
-    for epoch in range(epochs + 1):  # the last pass scores the final parameters
-        s, z = _squash(x_mat @ weights.T + bias)  # (n, 3)
-        loss = float(np.abs(z - targets).sum())
-        history.append(loss)
-        if loss < best_loss:
-            best_loss = loss
-            best = (weights.copy(), bias.copy())
-        if epoch == epochs:
-            break
-        # dL/du = sign(z - target) * _SCALE s (1 - s), summed over the batch
-        g_u = np.sign(z - targets) * _SCALE * s * (1.0 - s)
-        g_w = g_u.T @ x_mat + 2.0 * l2 * weights
-        g_b = g_u.sum(axis=0)
-        weights = weights - lr * g_w
-        bias = bias - lr * g_b
+    with np.errstate(over="ignore"):  # _squash's overflow, set once and not per epoch
+        for epoch in range(epochs + 1):  # the last pass scores the final parameters
+            s, z = _squash(x_mat @ weights.T + bias)  # (n, 3)
+            loss = float(np.abs(z - targets).sum())
+            history.append(loss)
+            if loss < best_loss:
+                best_loss = loss
+                best = (weights.copy(), bias.copy())
+            if epoch == epochs:
+                break
+            # dL/du = sign(z - target) * _SCALE s (1 - s), summed over the batch
+            g_u = np.sign(z - targets) * _SCALE * s * (1.0 - s)
+            g_w = g_u.T @ x_mat + 2.0 * l2 * weights
+            g_b = g_u.sum(axis=0)
+            weights = weights - lr * g_w
+            bias = bias - lr * g_b
     return LinearToneModel(best[0], best[1], loss_history=tuple(history))
 
 

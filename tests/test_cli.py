@@ -427,6 +427,20 @@ def test_cluster_tones_wav_list(tmp_path, capsys):
     assert payload["n_categories"] == 1
 
 
+def test_transcribe_model_with_saturated_squash_writes_no_warning(tmp_path):
+    """A falling contour drives the first and last pre-activations to about -5e4
+    and +5e4, where exp overflows to inf and the sigmoid is exactly 0 or 1. The
+    triple (1, 3, 5) decodes to 15, and numpy's overflow warning stays off stderr."""
+    ramp = 1000.0 * (np.arange(20) - 9.5)
+    model_path = tmp_path / "model.json"
+    LinearToneModel(np.stack([ramp, np.zeros(20), -ramp]), np.zeros(3)).save(model_path)
+    wav = write_wav(tmp_path / "fall.wav", tone_clip("51"))
+    child = subprocess.run([sys.executable, "-m", "tonelab", "transcribe", wav,
+                            "--method", "model", "--model", str(model_path)],
+                           capture_output=True, text=True, timeout=60)
+    assert (child.returncode, child.stdout, child.stderr) == (0, "15\n", "")
+
+
 def test_cluster_tones_requires_input(tmp_path):
     model_path = tmp_path / "model.json"
     LinearToneModel(np.zeros((3, 20)), np.zeros(3)).save(model_path)

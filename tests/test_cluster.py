@@ -654,6 +654,24 @@ def test_dbscan_noise_set_permutation_invariant():
             assert (base[i] == base[j]) == (shuffled[pi] == shuffled[pj])
 
 
+def test_dbscan_peak_with_dense_neighbourhoods():
+    """800 points in 4 dense clusters of 200: nearly every point neighbours its
+    whole cluster, so the lists hold ~160,000 indices, 0.64 MB as int32 against
+    1.28 MB as int64. The peak is 0.77 MB (1.48 MB with int64 lists); the bound
+    leaves 30% headroom."""
+    rng = np.random.default_rng(800)
+    centers = rng.uniform(-10, 10, (4, 3))
+    pts = centers[np.arange(800) % 4] + rng.normal(0, 0.15, (800, 3))
+    tracemalloc.start()
+    try:
+        result = dbscan(pts, 0.6, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.n_clusters == 4
+    assert peak <= 1_000_000
+
+
 def test_dbscan_input_validation():
     with pytest.raises(InputError):
         dbscan([[0.0], [1.0]], eps=-1.0, min_samples=2)

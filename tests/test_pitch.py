@@ -21,7 +21,7 @@ from tonelab import (
     f0_baseline_triple,
     read_wav,
 )
-from tonelab.pitch import _longest_voiced_run, _workspace
+from tonelab.pitch import _Workspace, _longest_voiced_run, _workspace
 from .synth import SR, constant_track, tone_clip, tone_track
 
 
@@ -196,8 +196,8 @@ def test_difference_function_matches_direct_loop():
     frames = rng.normal(size=(3, 120))
     tau_max = 40
     w = 120 - tau_max
-    ws = _workspace(120, tau_max)
-    fast = ws.difference(frames, ws.conj_first(len(frames)))
+    ws = _workspace(120, tau_max, 120)  # a hop of one frame: the span is the rows end to end
+    fast = ws.difference(frames.ravel(), ws.conj_first(len(frames)))
     for fi in range(3):
         for tau in range(tau_max + 1):
             direct = np.sum((frames[fi, :w] - frames[fi, tau:tau + w]) ** 2)
@@ -297,7 +297,7 @@ def frames_clip(n_frames, sr, rng, frame_ms=40.0, hop_ms=10.0):
     "sweeps", "glide-22050", "noise", "silence", "constant", "noisy-sine-8000",
     "dip-at-tau-min", "dip-at-tau-min-narrow", "dip-at-tau-max", "dip-at-tau-max-narrow",
     "noise-8000", "noise-22050", "noise-44100", "short-16000", "options-0", "options-1",
-    "long-8000", "long-16000", "long-8000-short-frames",
+    "long-8000", "long-16000", "long-8000-short-frames", "non-contiguous", "hop-over-frame",
 ])
 def test_extract_f0_bit_identical_to_per_frame_loop(case):
     rng = np.random.default_rng(len(case))
@@ -338,6 +338,12 @@ def test_extract_f0_bit_identical_to_per_frame_loop(case):
     elif case == "long-8000-short-frames":
         kw = dict(frame_ms=20.0, fmin=60.0)
         clips = [frames_clip(n, 8000, rng, frame_ms=20.0) for n in (100, 127, 128, 150)]
+    elif case == "non-contiguous":  # samples 16 bytes apart, squared into the span buffer
+        clips = [AudioClip(np.repeat(frames_clip(n, sr, rng).samples, 2)[::2], sr)
+                 for sr, n in ((SR, 65), (SR, 150), (8000, 130))]
+    elif case == "hop-over-frame":  # the squared span has gaps between frames
+        kw = dict(frame_ms=40.0, hop_ms=50.0)
+        clips = [frames_clip(n, sr, rng, hop_ms=50.0) for sr, n in ((SR, 64), (SR, 130), (8000, 70))]
     elif case == "dip-at-tau-min":
         clips, edge = [sine_clip(610.0)], 0
     elif case == "dip-at-tau-min-narrow":
@@ -392,6 +398,20 @@ def test_extract_f0_memory_does_not_grow_with_clip_length():
     finally:
         tracemalloc.stop()
     assert peak < 5_000_000
+
+
+def test_workspace_buffers_share_memory():
+    """The 16 kHz default workspace (40 ms frames, 10 ms hop, fmin 50 Hz) holds
+    1.56 MiB: squares of one block's sample span, not of every frame, and corr and
+    cmndf's running sums in the spectrum and product buffers. A buffer per stage
+    was 2.44 MiB; the bound leaves 15% headroom."""
+    tracemalloc.start()
+    try:
+        _Workspace(640, 320, 160)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8 * 2**20
 
 
 def test_sine_440_tracked_within_one_hz():
