@@ -171,8 +171,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     summary = {
         "clips": len(data),
         "epochs": args.epochs,
-        "final_loss": round(model.loss_history[-1], 6) if model.loss_history else None,
-        "initial_loss": round(model.loss_history[0], 6) if model.loss_history else None,
+        "final_loss": round(model.loss_history[-1], 6),  # --epochs >= 0: one loss at least
+        "initial_loss": round(model.loss_history[0], 6),
         "model": args.out,
         "seed": args.seed,
         "train_accuracy": round(hits / len(data), 6),

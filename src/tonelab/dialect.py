@@ -1,7 +1,6 @@
 """Corpus ingestion and the cross-dialect analysis pipelines."""
 from __future__ import annotations
 
-import operator
 import os
 from dataclasses import dataclass
 
@@ -99,7 +98,6 @@ def _metric_table(metric: str) -> np.ndarray:
     raise InputError(f"unknown metric {metric!r}; choose one of {METRICS}")
 
 
-_digits = operator.attrgetter("digits")
 _MISSING = 150  # the code of an unattested word: row and column 150 of the padded table
 _REGION_BLOCK = 64  # regions per accumulator block in region_distance_matrix
 
@@ -127,13 +125,10 @@ def region_distance_matrix(corpus: DialectCorpus, metric: str = "tone2vec"
     words = sorted(set().union(*(r.entries for r in regions)))
     row_of = {w: k for k, w in enumerate(words)}
     n = len(regions)
-    word_rows, region_cols, code_of = [], [], []  # one entry per (region, word)
-    for col, region in enumerate(regions):
-        word_rows += map(row_of.__getitem__, region.entries)
-        code_of += map(tones._CODES.__getitem__, map(_digits, region.entries.values()))
-        region_cols += [col] * len(region.entries)
     codes = np.full((len(words), n), _MISSING, dtype=np.intp)
-    codes[word_rows, region_cols] = code_of
+    for col, region in enumerate(regions):
+        codes[[row_of[w] for w in region.entries], col] = [
+            tones._CODES[t.digits] for t in region.entries.values()]
     # Shared words of each pair. The product runs in float64, because numpy has no
     # BLAS path for int64; every partial sum is an integer below 2**53, so the
     # counts are exact, and symmetric with a nonzero diagonal: the first zero is above it.

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._defaults import (DEFAULT_FEATURE_POINTS, DEFAULT_FRAME_MS, DEFAULT_HOP_MS,
                         DEFAULT_YIN_THRESHOLD, F0_CEIL_HZ, F0_FLOOR_HZ)
-from .errors import AudioError, InputError, VoicingError
+from .errors import AudioError, InputError, VoicingError, naming
 from .tones import _csv, _reading
 
 _MIN_VOICED_FRAMES = 5
@@ -40,9 +40,10 @@ class AudioClip:
             raise AudioError("audio must be a nonempty 1-D sample array")
         if self.sample_rate < 8000:
             raise AudioError(f"sample rate must be >= 8000 Hz, got {self.sample_rate}")
-        if not np.all(np.isfinite(arr)):
+        lo, hi = arr.min(), arr.max()  # a NaN or an infinity shows in one of them
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise AudioError("audio contains non-finite samples")
-        if np.abs(arr).max() > 1.0 + 1e-9:
+        if max(-lo, hi) > 1.0 + 1e-9:
             raise AudioError("audio samples must lie in [-1, 1]")
 
     @property
@@ -50,16 +51,18 @@ class AudioClip:
         return len(self.samples) / self.sample_rate
 
 
-# (format tag, bytes per sample) -> sample dtype; 24-bit PCM is widened below.
-_WAV_DTYPES = {(1, 1): "u1", (1, 2): "<i2", (1, 3): "<i4", (1, 4): "<i4",
-               (3, 4): "<f4", (3, 8): "<f8"}
+# (format tag, bytes per sample) -> (sample dtype, offset, scale): a sample is
+# (x - offset) / scale, clipped to [-1, 1]. 24-bit PCM is widened below.
+_WAV_FORMATS = {(1, 1): ("u1", 128.0, 128.0), (1, 2): ("<i2", 0.0, 2.0**15),
+                (1, 3): ("<i4", 0.0, 2.0**31), (1, 4): ("<i4", 0.0, 2.0**31),
+                (3, 4): ("<f4", 0.0, 1.0), (3, 8): ("<f8", 0.0, 1.0)}
 _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 _KSDATAFORMAT_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
 
-def _decode_wav(raw: bytes) -> tuple[int, np.ndarray]:
-    """(rate, samples) from RIFF/WAVE bytes; samples are (frames, channels) if
-    there is more than one channel. Raises ValueError or struct.error."""
+def _decode_wav(raw: bytes) -> tuple[int, np.ndarray, float, float]:
+    """(rate, samples, offset, scale) from RIFF/WAVE bytes; samples are (frames,
+    channels) if there is more than one channel. Raises ValueError or struct.error."""
     if raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise ValueError("not a RIFF/WAVE file")
     fmt = None
@@ -78,19 +81,19 @@ def _decode_wav(raw: bytes) -> tuple[int, np.ndarray]:
             if channels == 0 or block_align % channels:
                 raise ValueError(f"{channels} channels with {block_align}-byte frames")
             width = block_align // channels
-            if (tag, width) not in _WAV_DTYPES:
+            if (tag, width) not in _WAV_FORMATS:
                 raise ValueError(f"unsupported format tag {tag} with {8 * width}-bit samples")
-            fmt = (channels, rate, width, np.dtype(_WAV_DTYPES[tag, width]))
+            fmt = (channels, rate, width, *_WAV_FORMATS[tag, width])
         elif chunk == b"data":
             if fmt is None:
                 raise ValueError("data chunk before fmt chunk")
-            channels, rate, width, dtype = fmt
+            channels, rate, width, dtype, offset, scale = fmt
             body = raw[pos:pos + size]
             body = body[:len(body) - len(body) % (width * channels)]
             if width == 3:  # left-justified into int32, as scipy.io.wavfile does
                 body = np.pad(np.frombuffer(body, np.uint8).reshape(-1, 3), ((0, 0), (1, 0)))
             data = np.frombuffer(body, dtype=dtype)
-            return rate, data.reshape(-1, channels) if channels > 1 else data
+            return rate, data.reshape(-1, channels) if channels > 1 else data, offset, scale
         pos += size + (size & 1)
     raise ValueError("no data chunk" if fmt else "no fmt chunk")
 
@@ -99,22 +102,19 @@ def read_wav(path: str | os.PathLike) -> AudioClip:
     """Load a RIFF/WAVE file (PCM or IEEE float); stereo is averaged to mono."""
     with _reading(path, "WAV file", AudioError, binary=True) as fh:
         try:
-            rate, data = _decode_wav(fh.read())
+            rate, data, offset, scale = _decode_wav(fh.read())
         except (ValueError, struct.error) as exc:
             raise AudioError(f"malformed WAV file {path}: {exc}") from exc
     if data.size == 0:
         raise AudioError(f"WAV file contains no audio: {path}")
-    if data.dtype == np.uint8:
-        samples = (data.astype(float) - 128.0) / 128.0
-    elif data.dtype == np.int16:
-        samples = data.astype(float) / 32768.0
-    elif data.dtype == np.int32:
-        samples = data.astype(float) / 2147483648.0
-    else:
-        samples = np.clip(data.astype(float), -1.0, 1.0)
+    samples = data.astype(float)  # the one float copy; the steps below write into it
+    samples -= offset
+    samples /= scale
+    np.clip(samples, -1.0, 1.0, out=samples)  # a no-op on PCM, already in [-1, 1)
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
-    return AudioClip(samples, int(rate))
+    with naming(str(path)):
+        return AudioClip(samples, int(rate))
 
 
 @dataclass(frozen=True)

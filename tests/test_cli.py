@@ -384,6 +384,37 @@ def test_train_manifest_row_errors_name_their_line(row, message, tmp_path, capsy
     assert capsys.readouterr().err.startswith(f"tonelab: error: {manifest}{message}")
 
 
+def unusable_wav(path, kind):
+    """A WAV that decodes but fails AudioClip's checks, and the message it fails with."""
+    if kind == "low-rate":
+        wavfile.write(path, 4000, np.zeros(4000, dtype=np.int16))
+        return str(path), "sample rate must be >= 8000 Hz, got 4000"
+    wavfile.write(path, SR, np.array([0.0, np.nan, 0.5] * 1000, dtype=np.float32))
+    return str(path), "audio contains non-finite samples"
+
+
+@pytest.mark.parametrize("kind", ["low-rate", "nan"])
+def test_unusable_wav_errors_name_the_file(kind, tmp_path, capsys):
+    manifest = make_manifest(tmp_path, per_class=1)
+    bad, message = unusable_wav(tmp_path / "bad.wav", kind)
+    with open(manifest, "a", encoding="utf-8") as fh:
+        fh.write("bad.wav\t15\n")
+    expected = f"tonelab: error: {bad}: {message}\n"
+    assert main(["train", "--data", manifest, "--out", str(tmp_path / "m.json"),
+                 "--seed", "1", "--epochs", "10"]) == 2
+    assert capsys.readouterr().err == expected
+
+    model_path = tmp_path / "model.json"
+    LinearToneModel(np.zeros((3, 20)), np.zeros(3)).save(model_path)
+    listing = tmp_path / "list.txt"
+    listing.write_text("15_0.wav\nbad.wav\n", encoding="utf-8")
+    assert main(["cluster-tones", "--wav-list", str(listing), "--model", str(model_path)]) == 2
+    assert capsys.readouterr() == ("", expected)
+
+    assert main(["transcribe", bad]) == 2
+    assert capsys.readouterr() == ("", expected)
+
+
 # ---------------------------------------------------------------------------
 # cluster-tones
 

@@ -422,6 +422,22 @@ def test_region_matrix_holds_at_most_three_matrices_beyond_its_result():
     assert peak - current <= 3 * 8 * n * n
 
 
+def test_region_matrix_fills_codes_region_by_region():
+    """With far more words than regions, the peak is the word-by-region code array,
+    its presence mask, that mask as floats and the word index: 2.47 x 8 bytes per
+    (word, region) cell. Three lists with an entry per (region, word) pair, and an
+    index array made from each, put it at 7.07 x."""
+    n, words = 64, 4000
+    corpus = random_corpus(12, regions=n, words=words, coverage=0.9, pool=ALL_TOKENS)
+    tracemalloc.start()
+    try:
+        region_distance_matrix(corpus, "tone2vec")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * n * words  # 20% headroom
+
+
 def test_dialect_mds_formats_no_coverage_warnings(tmp_path):
     """dialect-mds prints coordinates only, so it builds none of the 78,326 warning
     lines of this corpus: its peak is the corpus, the matrix, the counts and MDS."""

@@ -114,6 +114,12 @@ def _wav_case(case, tmp_path):
         wavfile.write(path, 22050, rng.uniform(-1.5, 1.5, 700).astype(np.float32))
     elif case == "f64":
         wavfile.write(path, 44100, rng.uniform(-1, 1, 700))
+    elif case == "u8-extremes":
+        wavfile.write(path, 8000, np.array([0, 255, 128, 0, 255], dtype=np.uint8))
+    elif case == "f32-signed-zero-and-inf":
+        wavfile.write(path, 16000, np.array([-0.0, 0.0, np.inf, -np.inf, -0.5], dtype=np.float32))
+    elif case == "f64-signed-zero-and-inf":
+        wavfile.write(path, 16000, np.array([-0.0, np.inf, -np.inf, 1.0, -1.0]))
     elif case == "i16-3-channel":
         wavfile.write(path, 16000, pcm16.reshape(-1, 3))
     elif case == "i24":
@@ -134,7 +140,8 @@ def _wav_case(case, tmp_path):
 
 
 @pytest.mark.parametrize("case", [
-    "u8", "i16", "i32", "f32-over-range", "f64", "i16-3-channel", "i24",
+    "u8", "u8-extremes", "i16", "i32", "f32-over-range", "f64", "f32-signed-zero-and-inf",
+    "f64-signed-zero-and-inf", "i16-3-channel", "i24",
     "i24-stereo-extensible", "f32-extensible", "odd-list-before-data", "truncated-data",
 ])
 def test_read_wav_matches_scipy(case, tmp_path):
@@ -178,6 +185,22 @@ def test_read_wav_errors_name_the_path(tmp_path):
     assert str(got.value) == f"cannot read WAV file {tmp_path}: Is a directory"
 
 
+def test_read_wav_makes_one_float_copy(tmp_path):
+    """A 16-bit WAV is read as its raw bytes and one float array, scaled and
+    checked in place: 1.25 x the float samples' bytes at its peak. A copy per
+    scaling step and per check put it at 2.25 x; the bound leaves 20% headroom."""
+    n = 10 * 44100
+    path = tmp_path / "ten-seconds.wav"
+    wavfile.write(path, 44100, np.random.default_rng(10).integers(-32768, 32768, n).astype("<i2"))
+    tracemalloc.start()
+    try:
+        read_wav(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * n
+
+
 def test_audio_clip_validation():
     with pytest.raises(AudioError):
         AudioClip(np.zeros(0), 16000)
@@ -185,6 +208,22 @@ def test_audio_clip_validation():
         AudioClip(np.zeros(100), 4000)
     with pytest.raises(AudioError):
         AudioClip(np.full(100, 2.0), 16000)
+    non_finite, out_of_range = "audio contains non-finite samples", "audio samples must lie in [-1, 1]"
+    edge = 1.0 + 1e-9
+    for bad, message in [(np.nan, non_finite), (np.inf, non_finite), (-np.inf, non_finite),
+                         (-1.5, out_of_range), (np.nextafter(edge, 2.0), out_of_range),
+                         (-np.nextafter(edge, 2.0), out_of_range)]:
+        samples = np.zeros(100)
+        samples[37] = bad
+        with pytest.raises(AudioError) as got:
+            AudioClip(samples, 16000)
+        assert str(got.value) == message
+    samples = np.zeros(100)
+    samples[[10, 90]] = -2.0, np.nan  # non-finite is reported first, wherever it is
+    with pytest.raises(AudioError) as got:
+        AudioClip(samples, 16000)
+    assert str(got.value) == non_finite
+    assert AudioClip(np.array([edge, -edge, 0.0]), 16000).samples[0] == edge
 
 
 # ---------------------------------------------------------------------------
