@@ -25,8 +25,8 @@ _EXPORTS = {
               "f0_baseline_transcribe", "linearity_margin", "pitch_distance",
               "pitch_distance_subgradient", "pitch_loss", "tone_clustering_pipeline",
               "train_tone_model"),
-    "pitch": ("AudioClip", "ContourFeature", "F0Track", "contour_feature", "extract_f0",
-              "f0_baseline_triple", "read_wav"),
+    "pitch": ("AudioClip", "F0Track", "contour_feature", "extract_f0", "f0_baseline_triple",
+              "read_wav"),
     "tones": ("DistanceMatrix", "NormalizedContour", "PitchCurve", "Transcription",
               "build_distance_matrix", "canonical_transcriptions", "categorical_distance",
               "curve_of", "normalize_contour", "parse_transcription", "relative_pitch",

@@ -181,27 +181,15 @@ def cut_tree(dg: Dendrogram, k: int) -> ClusterAssignment:
     n = dg.n_items
     if not 1 <= k <= n:
         raise InputError(f"k must be in 1..{n}, got {k}")
-    parent = list(range(2 * n - 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for step, (a, b, _h, _size) in enumerate(dg.steps[: n - k]):
-        new_id = n + step
-        parent[find(a)] = new_id
-        parent[find(b)] = new_id
-
-    label_of_root: dict[int, int] = {}
-    labels = []
-    for item in range(n):
-        root = find(item)
-        if root not in label_of_root:
-            label_of_root[root] = len(label_of_root)
-        labels.append(label_of_root[root])
-    return ClusterAssignment(tuple(labels))
+    # Merge m makes id n + m, above both ids it joins, so one descending pass
+    # resolves every id to the top of its chain.
+    top = list(range(2 * n - 1))
+    for m, (a, b, _h, _size) in enumerate(dg.steps[: n - k]):
+        top[a] = top[b] = n + m
+    for c in reversed(range(2 * n - 1)):
+        top[c] = top[top[c]]
+    label_of: dict[int, int] = {}
+    return ClusterAssignment(tuple(label_of.setdefault(top[i], len(label_of)) for i in range(n)))
 
 
 def dbscan(points: Sequence[Sequence[float]], eps: float, min_samples: int) -> ClusterAssignment:
@@ -297,14 +285,18 @@ def mds_to_csv(labels: Sequence[str], coords: np.ndarray,
 
 def two_cluster_accuracy(pred: ClusterAssignment | Sequence[int],
                          gold: Sequence[int]) -> float:
-    """Best agreement with binary gold labels over the two label permutations."""
+    """Best agreement with binary gold labels over the two label permutations;
+    a NOISE point agrees with neither."""
     labels = pred.labels if isinstance(pred, ClusterAssignment) else tuple(pred)
+    gold = [int(g) for g in gold]
     if len(labels) != len(gold):
         raise InputError("prediction and gold label counts differ")
-    ids = {l for l in labels if l != NOISE}
-    if len(ids) > 2:
-        raise InputError(f"expected at most 2 cluster ids, got {sorted(ids)}")
-    gold = [int(g) for g in gold]
+    if not gold:
+        raise InputError("no labels to score")
+    if not set(labels) <= {0, 1, NOISE}:
+        raise InputError(f"cluster ids must be 0, 1 or {NOISE}, got {sorted(set(labels))}")
+    if not set(gold) <= {0, 1}:
+        raise InputError(f"gold labels must be 0 or 1, got {sorted(set(gold))}")
     direct = sum(1 for p, g in zip(labels, gold) if p == g)
     swapped = sum(1 for p, g in zip(labels, gold) if p == 1 - g)
     return max(direct, swapped) / len(gold)

@@ -98,8 +98,7 @@ def f0_baseline_transcribe(track: pitchmod.F0Track, beta: float = DEFAULT_BETA) 
 
 
 def _as_feature_array(x) -> np.ndarray:
-    values = getattr(x, "values", x)
-    arr = np.asarray(values, dtype=float)
+    arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise InputError(f"feature must be a 1-D vector, got shape {arr.shape}")
     return arr

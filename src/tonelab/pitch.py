@@ -110,7 +110,9 @@ def read_wav(path: str | os.PathLike) -> AudioClip:
     samples = data.astype(float)  # the one float copy; the steps below write into it
     samples -= offset
     samples /= scale
-    np.clip(samples, -1.0, 1.0, out=samples)  # a no-op on PCM, already in [-1, 1)
+    lo, hi = samples.min(), samples.max()
+    if np.isfinite(lo) and np.isfinite(hi):  # an infinity is left for AudioClip to refuse
+        np.clip(samples, -1.0, 1.0, out=samples)  # a no-op on PCM, already in [-1, 1)
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
     with naming(str(path)):
@@ -352,26 +354,9 @@ def _sample_log_f0(track: F0Track, k: int) -> np.ndarray:
     return np.interp(sample_times, t_run, log_f0)
 
 
-@dataclass(frozen=True)
-class ContourFeature:
-    """K normalized log-F0 samples from one syllable's voiced run."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", arr)
-        if arr.ndim != 1 or arr.size == 0:
-            raise InputError("contour feature must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(arr)):
-            raise InputError("contour feature contains non-finite values")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def contour_feature(track: F0Track, k: int = DEFAULT_FEATURE_POINTS) -> ContourFeature:
-    """Resample the longest voiced run's log-F0 at k points and z-normalize.
+def contour_feature(track: F0Track, k: int = DEFAULT_FEATURE_POINTS) -> np.ndarray:
+    """Resample the longest voiced run's log-F0 at k points and z-normalize:
+    a 1-D float64 array of k values.
 
     The variance floor (1e-6) keeps constant contours finite: a level tone
     yields the all-zero feature.
@@ -380,10 +365,10 @@ def contour_feature(track: F0Track, k: int = DEFAULT_FEATURE_POINTS) -> ContourF
         raise InputError("feature length must be at least 2")
     values = _sample_log_f0(track, k)
     if np.ptp(values) == 0.0:
-        return ContourFeature(np.zeros(k))
+        return np.zeros(k)
     centered = values - values.mean()
     scale = math.sqrt(max(float(centered.var()), 1e-6))
-    return ContourFeature(centered / scale)
+    return centered / scale
 
 
 def f0_baseline_triple(track: F0Track) -> tuple[float, float, float]:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -541,6 +542,58 @@ def test_cut_tree_range_check():
             cut_tree(dg, bad)
 
 
+def union_find_cut_tree(dg, k):
+    """Frozen oracle: cut_tree's labels as its union-find form computed them."""
+    n = dg.n_items
+    parent = list(range(2 * n - 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for step, (a, b, _h, _size) in enumerate(dg.steps[: n - k]):
+        new_id = n + step
+        parent[find(a)] = new_id
+        parent[find(b)] = new_id
+
+    label_of_root = {}
+    labels = []
+    for item in range(n):
+        root = find(item)
+        if root not in label_of_root:
+            label_of_root[root] = len(label_of_root)
+        labels.append(label_of_root[root])
+    return tuple(labels)
+
+
+@pytest.mark.parametrize("kind", ["normal-5d", "int0-2"])
+def test_cut_tree_matches_union_find(kind):
+    rng = np.random.default_rng(30)
+    for n in (2, 3, 4, 7, 16, 45):
+        dm = (_normal_points_matrix(n, n) if kind == "normal-5d"
+              else _seeded_matrix(rng, n, "int0-2", False))
+        for linkage in LINKAGES:
+            dg = hierarchical_cluster(dm, linkage)
+            for k in range(1, n + 1):
+                assert cut_tree(dg, k).labels == union_find_cut_tree(dg, k), (n, linkage, k)
+
+
+def test_cut_tree_on_a_2000_leaf_chain():
+    """Gaps that grow left to right make single link add one leaf per merge,
+    so the parent chains are as deep as they get."""
+    n = 2000
+    x = np.cumsum(np.arange(n, dtype=float))
+    dm = DistanceMatrix(tuple(map(str, range(n))), np.abs(x[:, None] - x))
+    dg = hierarchical_cluster(dm, "sl")
+    assert [(a, b) for a, b, _h, _s in dg.steps[1:]] == [(m + 1, n + m - 1) for m in range(1, n - 1)]
+    for k in (1, 2, 3, 1000, 1998, 1999, 2000):
+        labels = cut_tree(dg, k).labels
+        assert labels == (0,) * (n - k + 1) + tuple(range(1, k))
+        assert labels == union_find_cut_tree(dg, k)
+
+
 def test_dendrogram_size_is_read_off_its_steps():
     steps = ((0, 1, 1.0, 2), (2, 3, 1.5, 3))
     assert Dendrogram(steps).n_items == len(steps) + 1 == 3
@@ -908,6 +961,7 @@ def test_two_cluster_accuracy_cases():
     assert two_cluster_accuracy(ClusterAssignment((0, 0, 1, 1)), [0, 0, 1, 1]) == 1.0
     assert two_cluster_accuracy(ClusterAssignment((0, 0, 1, 1)), [1, 1, 0, 0]) == 1.0
     assert two_cluster_accuracy(ClusterAssignment((0, 0, 1, 0)), [0, 0, 1, 1]) == 0.75
+    assert two_cluster_accuracy((NOISE, NOISE, 1, 0), [1, 1, 0, 1]) == 0.5  # noise never hits
 
 
 def test_two_cluster_accuracy_validation():
@@ -915,6 +969,22 @@ def test_two_cluster_accuracy_validation():
         two_cluster_accuracy(ClusterAssignment((0, 1, 2)), [0, 1, 1])
     with pytest.raises(InputError):
         two_cluster_accuracy(ClusterAssignment((0, 1)), [0, 1, 1])
+
+
+def test_two_cluster_accuracy_refuses_non_binary_gold():
+    # With gold 2, the swapped labelling 1 - 2 = NOISE scored both noise points as hits.
+    with pytest.raises(InputError, match=re.escape("gold labels must be 0 or 1, got [0, 1, 2]")):
+        two_cluster_accuracy((NOISE, NOISE, 1, 0), [2, 2, 0, 1])
+
+
+def test_two_cluster_accuracy_refuses_empty_input():
+    with pytest.raises(InputError, match="no labels to score"):
+        two_cluster_accuracy([], [])
+
+
+def test_two_cluster_accuracy_refuses_other_cluster_ids():
+    with pytest.raises(InputError, match=re.escape("cluster ids must be 0, 1 or -1, got [0, 5]")):
+        two_cluster_accuracy(ClusterAssignment((0, 5, 0, 5)), [0, 1, 0, 1])
 
 
 def test_assignment_csv():

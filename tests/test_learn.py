@@ -224,6 +224,18 @@ def test_embed_length_mismatch():
         embed(model, np.zeros(5))
 
 
+def test_features_must_be_1d():
+    """A contour feature is a plain array, so this is the one check on its shape."""
+    message = "feature must be a 1-D vector, got shape (2, 20)"
+    with pytest.raises(InputError) as got:
+        embed(LinearToneModel(np.zeros((3, 20)), np.zeros(3)), np.zeros((2, 20)))
+    assert str(got.value) == message
+    data = [(np.zeros(20), parse_transcription("15")), (np.zeros((2, 20)), parse_transcription("51"))]
+    with pytest.raises(InputError) as got:
+        train_tone_model(data)
+    assert str(got.value) == message
+
+
 def test_model_json_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     model = LinearToneModel(rng.normal(size=(3, 6)), rng.normal(size=3))

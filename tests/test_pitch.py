@@ -21,6 +21,7 @@ from tonelab import (
     f0_baseline_triple,
     read_wav,
 )
+from tonelab.cli import main
 from tonelab.pitch import _Workspace, _longest_voiced_run, _workspace
 from .synth import SR, constant_track, tone_clip, tone_track
 
@@ -116,10 +117,12 @@ def _wav_case(case, tmp_path):
         wavfile.write(path, 44100, rng.uniform(-1, 1, 700))
     elif case == "u8-extremes":
         wavfile.write(path, 8000, np.array([0, 255, 128, 0, 255], dtype=np.uint8))
-    elif case == "f32-signed-zero-and-inf":
-        wavfile.write(path, 16000, np.array([-0.0, 0.0, np.inf, -np.inf, -0.5], dtype=np.float32))
-    elif case == "f64-signed-zero-and-inf":
-        wavfile.write(path, 16000, np.array([-0.0, np.inf, -np.inf, 1.0, -1.0]))
+    elif case == "f32-signed-zero-and-extremes":
+        big = np.finfo(np.float32).max
+        wavfile.write(path, 16000, np.array([-0.0, 0.0, big, -big, -0.5], dtype=np.float32))
+    elif case == "f64-signed-zero-and-extremes":
+        big = np.finfo(np.float64).max
+        wavfile.write(path, 16000, np.array([-0.0, big, -big, 1.0, -1.0]))
     elif case == "i16-3-channel":
         wavfile.write(path, 16000, pcm16.reshape(-1, 3))
     elif case == "i24":
@@ -140,8 +143,8 @@ def _wav_case(case, tmp_path):
 
 
 @pytest.mark.parametrize("case", [
-    "u8", "u8-extremes", "i16", "i32", "f32-over-range", "f64", "f32-signed-zero-and-inf",
-    "f64-signed-zero-and-inf", "i16-3-channel", "i24",
+    "u8", "u8-extremes", "i16", "i32", "f32-over-range", "f64", "f32-signed-zero-and-extremes",
+    "f64-signed-zero-and-extremes", "i16-3-channel", "i24",
     "i24-stereo-extensible", "f32-extensible", "odd-list-before-data", "truncated-data",
 ])
 def test_read_wav_matches_scipy(case, tmp_path):
@@ -183,6 +186,26 @@ def test_read_wav_errors_name_the_path(tmp_path):
     with pytest.raises(AudioError) as got:
         read_wav(tmp_path)
     assert str(got.value) == f"cannot read WAV file {tmp_path}: Is a directory"
+
+
+@pytest.mark.parametrize("case", ["f32-both", "f64-plus", "f64-minus", "f32-stereo"])
+def test_infinite_wav_samples_are_refused(case, tmp_path, capsys):
+    """An infinity in a float WAV is refused as a NaN is, not clipped to +-1."""
+    dtype = np.float32 if case.startswith("f32") else np.float64
+    samples = np.array([0.0, np.inf, -np.inf] * 1000, dtype=dtype)
+    if case in ("f64-plus", "f64-minus"):
+        samples = np.sin(np.arange(3000) / 10.0).astype(dtype)
+        samples[1234] = np.inf if case == "f64-plus" else -np.inf
+    elif case == "f32-stereo":  # checked before the channels are averaged
+        samples = np.stack([samples, np.zeros_like(samples)], axis=1)
+    path = tmp_path / f"{case}.wav"
+    wavfile.write(path, 16000, samples)
+    message = f"{path}: audio contains non-finite samples"
+    with pytest.raises(AudioError) as got:
+        read_wav(path)
+    assert str(got.value) == message
+    assert main(["transcribe", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"tonelab: error: {message}\n")
 
 
 def test_read_wav_makes_one_float_copy(tmp_path):
@@ -562,13 +585,13 @@ def test_f0_track_csv(tmp_path):
 def test_contour_feature_constant_track_is_zero():
     feature = contour_feature(constant_track(200.0))
     assert len(feature) == 20
-    assert np.all(feature.values == 0.0)
+    assert np.all(feature == 0.0)
 
 
 def test_contour_feature_rising_is_increasing():
     track = tone_track("15", n_frames=30)
     feature = contour_feature(track)
-    assert np.all(np.diff(feature.values) > 0)
+    assert np.all(np.diff(feature) > 0)
 
 
 def test_contour_feature_needs_five_voiced_frames():
@@ -582,7 +605,7 @@ def test_contour_feature_uses_longest_voiced_run():
     f0 = np.concatenate([np.full(3, 150.0), [0.0], np.linspace(200, 260, 8)])
     track = F0Track(np.arange(12) * 0.01 + 0.01, f0, 0.01)
     feature = contour_feature(track, k=8)
-    assert np.all(np.diff(feature.values) > 0)  # picked the rising 8-frame run
+    assert np.all(np.diff(feature) > 0)  # picked the rising 8-frame run
 
 
 def frozen_longest_voiced_run(mask):
@@ -613,7 +636,7 @@ def test_longest_voiced_run_matches_frame_loop():
 
 def test_contour_feature_is_z_normalized():
     track = tone_track("315", n_frames=50)
-    values = contour_feature(track).values
+    values = contour_feature(track)
     assert values.mean() == pytest.approx(0.0, abs=1e-12)
     assert values.std() == pytest.approx(1.0, rel=1e-6)
 

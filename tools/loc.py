@@ -3,7 +3,8 @@
 Prints two counts over the package's .py files: every line (as `wc -l` counts
 them), and the code lines, which are the lines that hold a token other than a
 comment or a docstring. Blank lines, comment lines and docstrings, a string
-that makes up a whole statement, are not code lines. Stdlib only.
+that makes up a whole statement, are not code lines. Then it prints both counts
+for each file. Stdlib only.
 """
 import io
 import pathlib
@@ -30,11 +31,15 @@ def code_lines(source: str) -> int:
 
 def main() -> None:
     root = pathlib.Path(__file__).resolve().parents[1] / "src" / "tonelab"
-    sources = [path.read_text(encoding="utf-8") for path in sorted(root.glob("*.py"))]
-    total = sum(text.count("\n") for text in sources)
-    print(f"{root}: {len(sources)} files")
-    print(f"lines (wc -l): {total}")
-    print(f"code lines (no docstrings, comments or blank lines): {sum(map(code_lines, sources))}")
+    paths = sorted(root.glob("*.py"))
+    counts = [(text.count("\n"), code_lines(text))
+              for text in (path.read_text(encoding="utf-8") for path in paths)]
+    print(f"{root}: {len(paths)} files")
+    print(f"lines (wc -l): {sum(lines for lines, _ in counts)}")
+    print(f"code lines (no docstrings, comments or blank lines): {sum(code for _, code in counts)}")
+    print(f"{'lines':>6} {'code':>6}  file")
+    for path, (lines, code) in zip(paths, counts):
+        print(f"{lines:6d} {code:6d}  {path.name}")
 
 
 if __name__ == "__main__":
