@@ -11,6 +11,7 @@ import errno
 import math
 import os
 import sys
+from collections import Counter
 
 from . import __version__
 from . import _defaults as defaults
@@ -206,10 +207,10 @@ def _cmd_cluster_tones(args: argparse.Namespace) -> int:
         min_samples=args.min_samples, beta=args.beta, sources=paths, **_f0_options(args),
     )
     names = [os.path.basename(p) for p in paths]
+    sizes = Counter(result.assignment.labels)
     payload = {
         "categories": [
-            {"cluster": cid, "representative": rep.token,
-             "size": sum(1 for l in result.assignment.labels if l == cid)}
+            {"cluster": cid, "representative": rep.token, "size": sizes[cid]}
             for cid, rep in result.categories
         ],
         "eps": args.eps,

@@ -198,7 +198,7 @@ def dbscan(points: Sequence[Sequence[float]], eps: float, min_samples: int) -> C
     A point is core iff it has >= min_samples neighbours within eps (itself
     included). Clusters grow from core points scanned in ascending index
     order; border points keep the first cluster that reaches them. Unreached
-    points are NOISE.
+    points are NOISE. Rows are computed when needed, so memory is O(n * d).
     """
     if not eps > 0:
         raise InputError("eps must be positive")
@@ -216,32 +216,29 @@ def dbscan(points: Sequence[Sequence[float]], eps: float, min_samples: int) -> C
         pts = pts[:, None]
     if pts.ndim != 2:
         raise InputError("points must share a single vector dimension")
-    n = len(pts)
-    index = np.int32 if n <= 1 << 31 else np.intp  # holds every index below n in 4 bytes
+    if not np.isfinite(pts).all():
+        raise InputError("points must be finite")
+    cols = np.ascontiguousarray(pts.T)  # coordinate-major (d, n)
 
-    neighbors = []
-    for p in pts:  # one row at a time: O(n * d) memory
-        r = p - pts
-        neighbors.append(np.flatnonzero(np.sqrt((r * r).sum(axis=1)) <= eps).astype(index))
-    is_core = np.array([len(nb) >= min_samples for nb in neighbors])
+    def within(p):  # sums the coordinates left to right, as an axis-1 sum over d <= 7 does
+        r = cols[:, p, None] - cols
+        r *= r
+        return np.sqrt(r.sum(axis=0)) <= eps
 
-    labels = [NOISE] * n  # NOISE until a cluster reaches the point, then set once
+    is_core = np.array([np.count_nonzero(within(p)) >= min_samples for p in range(len(pts))])
+    labels = np.full(len(pts), NOISE)  # NOISE until a cluster reaches the point, then set once
     cluster = 0
-    for seed in range(n):
-        if labels[seed] != NOISE or not is_core[seed]:
+    for seed in np.flatnonzero(is_core):
+        if labels[seed] != NOISE:
             continue
-        queue = deque([seed])
+        queue = deque([seed])  # core points only: a border point expands nothing
         labels[seed] = cluster
         while queue:
-            p = queue.popleft()
-            if not is_core[p]:
-                continue
-            for q in neighbors[p]:  # ascending index
-                if labels[q] == NOISE:
-                    labels[q] = cluster
-                    queue.append(q)
+            reached = np.flatnonzero(within(queue.popleft()) & (labels == NOISE))  # ascending
+            labels[reached] = cluster
+            queue.extend(reached[is_core[reached]])
         cluster += 1
-    return ClusterAssignment(tuple(labels))
+    return ClusterAssignment(tuple(labels.tolist()))
 
 
 def classical_mds(d: DistanceMatrix, dims: int) -> np.ndarray:

@@ -367,9 +367,10 @@ def tone_clustering_pipeline(
     from . import cluster as clustering  # only this pipeline clusters; train need not load it
 
     assignment = clustering.dbscan(np.array(triples), eps, min_samples)
-    categories = []
-    for cid in sorted(set(assignment.labels) - {clustering.NOISE}):
-        members = [decoded[i] for i, l in enumerate(assignment.labels) if l == cid]
-        categories.append((cid, _modal_transcription(members)))
-    noise = tuple(i for i, l in enumerate(assignment.labels) if l == clustering.NOISE)
-    return ToneClusteringResult(assignment, tuple(decoded), tuple(categories), noise)
+    members: dict[int, list[int]] = {}  # clip indices by label, ascending
+    for i, label in enumerate(assignment.labels):
+        members.setdefault(label, []).append(i)
+    noise = tuple(members.pop(clustering.NOISE, ()))
+    categories = tuple((cid, _modal_transcription([decoded[i] for i in members[cid]]))
+                       for cid in sorted(members))
+    return ToneClusteringResult(assignment, tuple(decoded), categories, noise)

@@ -2,6 +2,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from collections import deque
 
 import numpy as np
 import pytest
@@ -707,11 +708,90 @@ def test_dbscan_noise_set_permutation_invariant():
             assert (base[i] == base[j]) == (shuffled[pi] == shuffled[pj])
 
 
+def frozen_dbscan(points, eps, min_samples):
+    """dbscan as it was when it stored every neighbour row (its input checks and
+    index-width rule left out): the reference the on-demand rows must match
+    label for label."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    n = len(pts)
+
+    neighbors = []
+    for p in pts:
+        r = p - pts
+        neighbors.append(np.flatnonzero(np.sqrt((r * r).sum(axis=1)) <= eps))
+    is_core = np.array([len(nb) >= min_samples for nb in neighbors])
+
+    labels = [NOISE] * n
+    cluster = 0
+    for seed in range(n):
+        if labels[seed] != NOISE or not is_core[seed]:
+            continue
+        queue = deque([seed])
+        labels[seed] = cluster
+        while queue:
+            p = queue.popleft()
+            if not is_core[p]:
+                continue
+            for q in neighbors[p]:
+                if labels[q] == NOISE:
+                    labels[q] = cluster
+                    queue.append(q)
+        cluster += 1
+    return tuple(labels)
+
+
+def test_dbscan_matches_stored_rows_version():
+    rng = np.random.default_rng(31)
+    cases = []
+    for dim in (1, 3):
+        for _ in range(6):  # blobs: borders reachable from several clusters
+            n = int(rng.integers(20, 150))
+            centers = rng.uniform(-3, 3, (int(rng.integers(1, 6)), dim))
+            pts = centers[rng.integers(0, len(centers), n)] + rng.normal(0, 0.4, (n, dim))
+            cases.append((pts, float(rng.uniform(0.2, 1.2))))
+        for _ in range(6):  # dyadic lattices: many pairs exactly eps apart
+            n = int(rng.integers(20, 150))
+            pts = rng.integers(0, 6, (n, dim)) * 0.125
+            cases.append((pts, float(rng.choice([0.125, 0.25, 0.375, 0.625]))))
+    pts = np.array([[0.0, 0.0, 0.0], [0.375, 0.5, 0.0], [0.75, 1.0, 0.0], [0.75, 1.0, 0.625]])
+    cases.append((pts, 0.625))  # 3-4-5 steps of 0.125: every neighbour exactly eps away
+    ties = 0
+    for pts, eps in cases:
+        diff = pts[:, None] - pts[None, :]
+        ties += int(np.count_nonzero(np.sqrt((diff * diff).sum(-1)) == eps))
+        for min_samples in range(1, 9):
+            assert dbscan(pts, eps, min_samples).labels == frozen_dbscan(pts, eps, min_samples)
+    assert ties > 1000
+
+
+def test_dbscan_coordinate_major_sums_equal_axis1_sums():
+    # dbscan sums the squares over the coordinate axis of a (d, n) copy; for
+    # d <= 7 that adds in the order of the axis-1 sum over (n, d) rows
+    rng = np.random.default_rng(7)
+    for dim in range(1, 8):
+        pts = rng.normal(0, 3, (64, dim)) * rng.uniform(0.01, 100, dim)
+        cols = np.ascontiguousarray(pts.T)
+        for p in range(len(pts)):
+            r = cols[:, p, None] - cols
+            r *= r
+            assert np.array_equal(r.sum(axis=0), ((pts[p] - pts) ** 2).sum(axis=1))
+
+
+def _tight_triples(n, seed):
+    """n 3-D points in 8 tight categories (sigma 0.15), 1 in 7 on a 0.25 lattice."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(1, 5, (8, 3))
+    pts = centers[np.arange(n) % 8] + rng.normal(0, 0.15, (n, 3))
+    pts[::7] = np.round(pts[::7] / 0.25) * 0.25
+    return pts
+
+
 def test_dbscan_peak_with_dense_neighbourhoods():
     """800 points in 4 dense clusters of 200: nearly every point neighbours its
-    whole cluster, so the lists hold ~160,000 indices, 0.64 MB as int32 against
-    1.28 MB as int64. The peak is 0.77 MB (1.48 MB with int64 lists); the bound
-    leaves 30% headroom."""
+    whole cluster (~160,000 neighbour pairs), but no neighbour row is kept. The
+    peak is ~0.07 MB, one row's temporaries and the labels."""
     rng = np.random.default_rng(800)
     centers = rng.uniform(-10, 10, (4, 3))
     pts = centers[np.arange(800) % 4] + rng.normal(0, 0.15, (800, 3))
@@ -723,6 +803,22 @@ def test_dbscan_peak_with_dense_neighbourhoods():
         tracemalloc.stop()
     assert result.n_clusters == 4
     assert peak <= 1_000_000
+
+
+def test_dbscan_peak_linear_in_n():
+    """5,000 tight triples: a mean of ~1,000 neighbours per point. The peak is
+    ~90 bytes a point (labels, one (3, n) copy, one row's temporaries); stored
+    neighbour rows took 12.6 MiB, ~2,600 bytes a point."""
+    n = 5000
+    pts = _tight_triples(n, 5000)
+    tracemalloc.start()
+    try:
+        result = dbscan(pts, 0.6, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.n_clusters == 5
+    assert peak <= 128 * n
 
 
 def test_dbscan_input_validation():
@@ -738,6 +834,12 @@ def test_dbscan_input_validation():
         dbscan([[0.0, 1.0], [1.0]], eps=0.5, min_samples=2)
     with pytest.raises(InputError, match="points must share a single vector dimension"):
         dbscan([[0, 0], [1]], eps=0.5, min_samples=2)
+    with pytest.raises(InputError, match="points must be finite"):
+        dbscan([[0.0], [0.1], [float("nan")], [0.2]], eps=0.5, min_samples=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any inf - inf is taken
+        with pytest.raises(InputError, match="points must be finite"):
+            dbscan([[0.0, 0.0], [math.inf, 1.0], [math.inf, 1.0]], eps=0.5, min_samples=2)
 
 
 # ---------------------------------------------------------------------------
