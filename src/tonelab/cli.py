@@ -119,7 +119,8 @@ def _cmd_transcribe(args: argparse.Namespace) -> int:
         triple = pitchmod.f0_baseline_triple(track)
     else:
         feature = pitchmod.contour_feature(track, k=model.n_features)
-        triple = learn.embed(model, feature)
+        with naming(args.wav):
+            triple = learn.embed(model, feature)
     result = learn.decode_transcription(triple, args.beta)
     if args.json:
         payload = {
@@ -169,11 +170,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
         1 for (feature, label) in data
         if learn.decode_transcription(learn.embed(model, feature), args.beta) == label
     )
+    final = model.loss_history[-1]  # --epochs >= 0: one loss at least
     summary = {
         "clips": len(data),
         "epochs": args.epochs,
-        "final_loss": round(model.loss_history[-1], 6),  # --epochs >= 0: one loss at least
-        "initial_loss": round(model.loss_history[0], 6),
+        "final_loss": round(final, 6) if math.isfinite(final) else None,  # a diverged run's NaN
+        "initial_loss": round(model.loss_history[0], 6),  # from weights in [-0.1, 0.1]: finite
         "model": args.out,
         "seed": args.seed,
         "train_accuracy": round(hits / len(data), 6),

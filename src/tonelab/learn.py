@@ -195,8 +195,11 @@ def embed(model: LinearToneModel, x) -> PitchTriple:
         raise InputError(
             f"feature length {arr.shape[0]} does not match model ({model.n_features})"
         )
-    with np.errstate(over="ignore"):
-        _, z = _squash(model.weights @ arr + model.bias)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = model.weights @ arr + model.bias
+        _, z = _squash(u)
+    if np.isnan(u).any():  # inf - inf in W x; a +-inf u still squashes to 5 or 1
+        raise InputError("model output is not a number: its weights overflow on this input")
     return (float(z[0]), float(z[1]), float(z[2]))
 
 
@@ -292,7 +295,8 @@ def train_tone_model(
     history = []
     best_loss = math.inf
     best = (weights.copy(), bias.copy())
-    with np.errstate(over="ignore"):  # _squash's overflow, set once and not per epoch
+    # _squash's overflow, and the NaN of a diverging step, set once and not per epoch
+    with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs + 1):  # the last pass scores the final parameters
             s, z = _squash(x_mat @ weights.T + bias)  # (n, 3)
             loss = float(np.abs(z - targets).sum())

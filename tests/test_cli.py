@@ -345,6 +345,25 @@ def test_train_loads_no_numpy_random_or_cluster(tmp_path):
                                                    *sorted(map(str, tmp_path.glob("*.wav"))))
 
 
+def test_diverging_train_writes_a_null_loss(tmp_path):
+    """--lr 1e308 takes the weights to inf and the loss to NaN, which JSON cannot hold:
+    the summary writes null, and the model keeps the best finite parameters."""
+    manifest = make_manifest(tmp_path, per_class=5)
+    out = tmp_path / "model.json"
+    child = subprocess.run([sys.executable, "-m", "tonelab", "train", "--data", manifest,
+                            "--out", str(out), "--seed", "3", "--epochs", "50", "--lr", "1e308"],
+                           capture_output=True, text=True, timeout=60)
+    assert (child.returncode, child.stderr) == (0, "")
+
+    def refuse(constant):
+        raise AssertionError(f"not JSON: {constant}")
+
+    summary = json.loads(child.stdout, parse_constant=refuse)
+    assert summary["final_loss"] is None
+    assert summary["initial_loss"] > 0
+    assert np.isfinite(LinearToneModel.load(out).weights).all()
+
+
 def test_train_requires_seed(tmp_path):
     manifest = make_manifest(tmp_path, per_class=1)
     with pytest.raises(SystemExit) as exc:
@@ -415,6 +434,16 @@ def test_unusable_wav_errors_name_the_file(kind, tmp_path, capsys):
     assert capsys.readouterr() == ("", expected)
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--hop-ms", "0.01", "frame and hop must be positive durations"),  # 0.16 samples at 16 kHz
+    ("--frame-ms", "5", "frame of 80 samples is too short for fmin=50.0 Hz (needs > 336)"),
+])
+def test_transcribe_refuses_frames_the_sample_rate_cannot_hold(flag, value, message, capsys,
+                                                               rise_wav):
+    assert main(["transcribe", rise_wav, flag, value]) == 2
+    assert capsys.readouterr() == ("", f"tonelab: error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # cluster-tones
 
@@ -470,6 +499,21 @@ def test_transcribe_model_with_saturated_squash_writes_no_warning(tmp_path):
                             "--method", "model", "--model", str(model_path)],
                            capture_output=True, text=True, timeout=60)
     assert (child.returncode, child.stdout, child.stderr) == (0, "15\n", "")
+
+
+@pytest.mark.parametrize("command", ["transcribe --method model", "cluster-tones"])
+def test_model_whose_weights_overflow_exits_2_naming_the_wav(command, tmp_path):
+    """Weights of +-1.5e308 make W x evaluate inf - inf, so the model's output is
+    NaN: refused with the WAV's path, with no numpy warning and no traceback."""
+    w = np.tile([1.5e308, -1.5e308], 10)
+    model_path = tmp_path / "model.json"
+    LinearToneModel(np.stack([w, w, w]), np.zeros(3)).save(model_path)
+    wav = write_wav(tmp_path / "35.wav", tone_clip("35"))
+    child = subprocess.run([sys.executable, "-m", "tonelab", *command.split(), wav,
+                            "--model", str(model_path)], capture_output=True, text=True, timeout=60)
+    message = "model output is not a number: its weights overflow on this input"
+    assert (child.returncode, child.stdout, child.stderr) == (
+        2, "", f"tonelab: error: {wav}: {message}\n")
 
 
 def test_cluster_tones_requires_input(tmp_path):
@@ -567,6 +611,14 @@ def test_dialect_cluster_bad_corpus(tmp_path, capsys):
     bad = tmp_path / "bad.tsv"
     bad.write_text("region\tword_id\ttranscription\nA\tw1\t99\n", encoding="utf-8")
     assert main(["dialect-cluster", "--corpus", str(bad)]) == 2
+
+
+def test_dialect_mds_refuses_a_corpus_of_one_region(tmp_path, capsys):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("region\tword_id\ttranscription\nA\tw1\t41\nA\tw2\t35\n", encoding="utf-8")
+    assert main(["dialect-mds", "--corpus", str(corpus)]) == 2
+    assert capsys.readouterr() == (
+        "", "tonelab: error: pairwise analysis needs at least 2 regions\n")
 
 
 def test_dialect_mds_csv(capsys, corpus_tsv):

@@ -842,6 +842,12 @@ def test_dbscan_input_validation():
             dbscan([[0.0, 0.0], [math.inf, 1.0], [math.inf, 1.0]], eps=0.5, min_samples=2)
 
 
+def test_dbscan_reads_a_flat_list_as_1d_points():
+    flat = [0.0, 0.1, 0.2, 5.0, 5.05]
+    assert dbscan(flat, 0.15, 2).labels == dbscan([[v] for v in flat], 0.15, 2).labels == \
+        (0, 0, 0, 1, 1)
+
+
 # ---------------------------------------------------------------------------
 # classical MDS
 

@@ -505,6 +505,20 @@ def test_pipeline_needs_three_regions():
         dialect_cluster_pipeline(corpus)
 
 
+def test_pipeline_refuses_an_unknown_linkage():
+    with pytest.raises(InputError) as got:
+        dialect_cluster_pipeline(six_region_corpus(), linkage="median")
+    assert str(got.value) == (
+        "unknown linkage 'median'; choose one of "
+        "('sl', 'cl', 'ga', 'wa', 'uc', 'wc', 'mv') or 'all'")
+
+
+def test_region_lexicon_refuses_no_entries():
+    with pytest.raises(CorpusError) as got:
+        RegionLexicon("A", {})
+    assert str(got.value) == "region 'A' has no entries"
+
+
 def test_forced_two_split_of_identical_golds_scores_half():
     # two regions with the same gold label, forced into k=2
     a = lexicon("A", TEMPLATE_A)

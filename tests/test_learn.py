@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +220,21 @@ def test_embed_bit_identical_to_frozen_expression():
         assert np.array_equal(embed(model, x), expected)
 
 
+def test_embed_refuses_a_nan_pre_activation_and_saturates_an_infinite_one():
+    """+-1.5e308 weights: one row overflows to +inf, one to -inf, and one takes
+    inf - inf. The infinite ones squash to 5 and 1; the NaN one is refused."""
+    big = np.full(20, 1.5e308)
+    x = np.ones(20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert embed(LinearToneModel(np.stack([big, -big, np.zeros(20)]), np.zeros(3)), x) == \
+            (5.0, 1.0, 3.0)
+        with pytest.raises(InputError) as got:
+            embed(LinearToneModel(np.stack([big, -big, np.tile([1.5e308, -1.5e308], 10)]),
+                                  np.zeros(3)), x)
+    assert str(got.value) == "model output is not a number: its weights overflow on this input"
+
+
 def test_embed_length_mismatch():
     model = LinearToneModel(np.zeros((3, 4)), np.zeros(3))
     with pytest.raises(InputError):
@@ -260,6 +277,16 @@ def test_model_json_rejects_bad_payloads(tmp_path):
         LinearToneModel.from_json(json.dumps({"format": "something-else"}))
     with pytest.raises(InputError):
         LinearToneModel.load(tmp_path / "missing.json")
+    valid = {"format": "tonelab-linear-tone-model", "version": 1,
+             "weights": [[0.0] * 4] * 3, "bias": [0.0] * 3}
+    path = tmp_path / "model.json"
+    for change, message in (({"version": 2}, "unsupported model version 2"),
+                            ({"weights": [[math.nan] * 4] * 3},  # json writes the literal NaN
+                             "model weights and bias must be finite")):
+        path.write_text(json.dumps({**valid, **change}), encoding="utf-8")
+        with pytest.raises(InputError) as got:
+            LinearToneModel.load(path)
+        assert str(got.value) == f"{path}: {message}"
 
 
 # ---------------------------------------------------------------------------

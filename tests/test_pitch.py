@@ -1,4 +1,3 @@
-import re
 import struct
 import sys
 import tracemalloc
@@ -154,16 +153,32 @@ def test_read_wav_matches_scipy(case, tmp_path):
     assert got.samples.tobytes() == want.samples.tobytes()
 
 
-@pytest.mark.parametrize("chunks", [
-    [(b"data", 2, b"\0\0"), fmt_chunk(1, 1, 16)],
-    [fmt_chunk(1, 1, 16), (b"LIST", 4, b"INFO")],
-    [fmt_chunk(6, 1, 8), (b"data", 2, b"\0\0")],  # A-law is not read
-], ids=["data-before-fmt", "no-data", "a-law"])
-def test_read_wav_rejects_bad_chunks(chunks, tmp_path):
+@pytest.mark.parametrize("raw,reason", [
+    (riff((b"data", 2, b"\0\0"), fmt_chunk(1, 1, 16)), "data chunk before fmt chunk"),
+    (riff(fmt_chunk(1, 1, 16), (b"LIST", 4, b"INFO")), "no data chunk"),
+    (riff(fmt_chunk(6, 1, 8), (b"data", 2, b"\0\0")),  # A-law is not read
+     "unsupported format tag 6 with 8-bit samples"),
+    (b"RIFX\x04\x00\x00\x00WAVE", "not a RIFF/WAVE file"),
+    (riff((b"fmt ", 14, bytes(14))), "fmt chunk of 14 bytes"),
+    (riff(fmt_chunk(1, 0, 16), (b"data", 2, b"\0\0")), "0 channels with 0-byte frames"),
+    (riff((b"fmt ", 16, struct.pack("<HHIIHH", 1, 2, 16000, 48000, 3, 12)), (b"data", 2, b"\0\0")),
+     "2 channels with 3-byte frames"),
+], ids=["data-before-fmt", "no-data", "a-law", "not-riff", "short-fmt", "no-channels",
+        "block-align"])
+def test_read_wav_rejects_bad_chunks(raw, reason, tmp_path):
     path = tmp_path / "bad.wav"
-    path.write_bytes(riff(*chunks))
-    with pytest.raises(AudioError, match=re.escape(f"malformed WAV file {path}: ")):
+    path.write_bytes(raw)
+    with pytest.raises(AudioError) as got:
         read_wav(path)
+    assert str(got.value) == f"malformed WAV file {path}: {reason}"
+
+
+def test_read_wav_refuses_an_empty_data_chunk(tmp_path):
+    path = tmp_path / "empty.wav"
+    path.write_bytes(riff(fmt_chunk(1, 1, 16), (b"data", 0, b"")))
+    with pytest.raises(AudioError) as got:
+        read_wav(path)
+    assert str(got.value) == f"WAV file contains no audio: {path}"
 
 
 def test_read_wav_truncated_header(tmp_path):
@@ -567,6 +582,9 @@ def test_f0_track_validation():
         F0Track(np.array([0.0, 0.01]), np.array([100.0, 700.0]), 0.01)  # out of range
     with pytest.raises(InputError):
         F0Track(np.array([0.0, 0.01]), np.array([100.0, 100.0]), -1.0)
+    with pytest.raises(InputError) as got:
+        F0Track(np.array([0.01, 0.02, 0.03]), np.array([100.0, 100.0]), 0.01)
+    assert str(got.value) == "times and f0 must be 1-D arrays of equal length"
 
 
 def test_f0_track_csv(tmp_path):

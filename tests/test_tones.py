@@ -483,6 +483,8 @@ def test_matrix_validation():
         DistanceMatrix(("a", "b"), np.array([[1.0, 2.0], [2.0, 1.0]]))  # diagonal
     with pytest.raises(InputError):
         DistanceMatrix(("a",), np.array([[0.0, 0.0]]))  # shape
+    with pytest.raises(InputError, match="^distance matrix needs at least one label$"):
+        DistanceMatrix((), np.zeros((0, 0)))
     # symmetry is checked in blocks of 64 rows: entries in a partial last block,
     # and sizes at and just past one block
     for n, (i, j) in ((130, (129, 0)), (130, (129, 128)), (64, (63, 62)), (65, (64, 63))):
