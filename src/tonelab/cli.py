@@ -89,8 +89,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         l1, l2 = map(tones.parse_transcription, args.tokens)
         tones._write((f"{tones.tone_distance(l1, l2):.6f}\n",), args.out)
         return 0
-    with tones._output(args.out) as fh:  # rows go out as formatted, not as one text
-        matrix.to_csv(fh)
+    matrix.to_csv(args.out or sys.stdout)  # lines go out as joined, not as one text
     return 0
 
 
@@ -246,13 +245,11 @@ def _cmd_dialect_cluster(args: argparse.Namespace) -> int:
 def _cmd_dialect_mds(args: argparse.Namespace) -> int:
     from . import cluster as clustering
     from . import dialect as dialectmod
-    from . import tones
 
     corpus = dialectmod.load_corpus(args.corpus)
     matrix = dialectmod.region_distance_matrix(corpus, metric=args.metric)[0]
     coords = clustering.classical_mds(matrix, dims=args.dims)
-    with tones._output(args.out) as fh:
-        clustering.mds_to_csv(matrix.labels, coords, fh)
+    clustering.mds_to_csv(matrix.labels, coords, args.out or sys.stdout)
     return 0
 
 
@@ -361,6 +358,8 @@ def _check_output_dirs(args: argparse.Namespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit status. An error writing stdout, a
+    broken pipe included, is raised to the caller, as entrypoint reports it."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -383,7 +382,7 @@ def entrypoint() -> None:
         sys.stdout.flush()
     except BrokenPipeError:  # the reader left early, as `| head` does
         status = 1
-    except OSError as exc:  # the final flush: other I/O errors reach main as InputError
+    except OSError as exc:  # stdout's writes and final flush; a file's errors are InputError
         print(f"tonelab: error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
         status = 2
     else:

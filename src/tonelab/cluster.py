@@ -50,7 +50,7 @@ class Dendrogram:
     def n_items(self) -> int:
         return len(self.steps) + 1
 
-    def to_csv(self, path: str | os.PathLike | None = None) -> str:
+    def to_csv(self, path: str | os.PathLike | TextIO | None = None) -> str | None:
         return _csv(("cluster_a", "cluster_b", "height", "new_size"), self.steps, path)
 
 
@@ -65,7 +65,7 @@ class ClusterAssignment:
         return len({l for l in self.labels if l != NOISE})
 
     def to_csv(self, items: Sequence[str] | None = None,
-               path: str | os.PathLike | None = None) -> str:
+               path: str | os.PathLike | TextIO | None = None) -> str | None:
         names = list(items) if items is not None else [str(i) for i in range(len(self.labels))]
         if len(names) != len(self.labels):
             raise InputError("item name count does not match label count")
@@ -206,9 +206,7 @@ def dbscan(points: Sequence[Sequence[float]], eps: float, min_samples: int) -> C
         raise InputError("min_samples must be >= 1")
     try:
         pts = np.asarray(points, dtype=float)
-    except ValueError as exc:  # ragged rows; a non-number keeps numpy's message
-        if "inhomogeneous" not in str(exc):
-            raise
+    except (TypeError, ValueError):  # ragged rows, or a cell that is not a number
         raise InputError("points must share a single vector dimension") from None
     if pts.size == 0:
         raise InputError("dbscan needs at least one point")
@@ -269,7 +267,8 @@ def classical_mds(d: DistanceMatrix, dims: int) -> np.ndarray:
 
 def mds_to_csv(labels: Sequence[str], coords: np.ndarray,
                path: str | os.PathLike | TextIO | None = None) -> str | None:
-    """CSV export of MDS coordinates: item,x[,y] with 6 decimals; path as _csv takes it."""
+    """CSV export of MDS coordinates: item,x[,y] with 6 decimals. Returns the text if
+    path is None, or else writes it to the path or open text stream and returns None."""
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     if coords.shape[0] != len(labels):
         raise InputError("coordinate row count does not match labels")

@@ -79,11 +79,14 @@ def decode_transcription(z: Sequence[float], beta: float = DEFAULT_BETA) -> Tran
 
     Near-collinear triples (linearity margin < beta) yield the 2-digit tone
     (round(z1), round(z3)); all others keep the middle point. Rounding is
-    half-away-from-zero; digits are clamped to 1..5.
+    half-away-from-zero; digits are clamped to 1..5. A NaN or infinite value
+    raises InputError.
     """
     if not beta > 0:
         raise InputError("beta must be positive")
     z1, z2, z3 = z
+    if not all(map(math.isfinite, (z1, z2, z3))):
+        raise InputError(f"pitch triple must be finite, got ({z1}, {z2}, {z3})")
     if linearity_margin(z) < beta:
         digits = (z1, z3)
     else:

@@ -152,7 +152,7 @@ class F0Track:
     def n_voiced(self) -> int:
         return int(np.count_nonzero(self.f0 > 0))
 
-    def to_csv(self, path: str | os.PathLike | None = None) -> str:
+    def to_csv(self, path: str | os.PathLike | None = None) -> str | None:
         return _csv(("time_s", "f0_hz"), zip(self.times.tolist(), self.f0.tolist()), path)
 
 

@@ -31,23 +31,6 @@ CURVE_DOMAIN = (1.0, 3.0)
 _BATCH = 1 << 16  # characters per write: encoding a large output whole would add a full copy
 
 
-@contextlib.contextmanager
-def _output(path: str | os.PathLike | None) -> Iterator[io.TextIOBase]:
-    """Open the output for the block: sys.stdout if path is None, left open after it,
-    or else the file at path, written as UTF-8. An OSError other than BrokenPipeError,
-    from the open or from a write in the block, raises InputError naming the path
-    ("stdout" for None); a broken pipe is left to the caller, whose reader has gone."""
-    try:
-        with (contextlib.nullcontext(sys.stdout) if path is None
-              else open(path, "w", encoding="utf-8")) as fh:
-            yield fh
-    except BrokenPipeError:
-        raise
-    except OSError as exc:
-        name = "stdout" if path is None else path
-        raise InputError(f"cannot write {name}: {exc.strerror or exc}") from exc
-
-
 def _write_all(pieces: Iterable[str], fh: io.TextIOBase) -> None:
     """Write the concatenated pieces to an open text stream in slices of _BATCH
     characters, the last one shorter; at most _BATCH characters and one piece wait."""
@@ -66,12 +49,23 @@ def _write_all(pieces: Iterable[str], fh: io.TextIOBase) -> None:
         fh.write("".join(batch))
 
 
-def _write(pieces: Iterable[str], path: str | os.PathLike | None) -> None:
-    """Write the concatenated pieces through _output to path, or to stdout if path is
-    None, in slices of _BATCH characters. A file that cannot be written, or stdout that
-    cannot take the text, raises InputError naming it."""
-    with _output(path) as fh:
-        _write_all(pieces, fh)
+def _write(pieces: Iterable[str], out: str | os.PathLike | io.TextIOBase | None) -> None:
+    """Write the concatenated pieces through _write_all to out: an open text stream,
+    sys.stdout if out is None, or else the file at path out, written as UTF-8.
+
+    An OSError other than BrokenPipeError from opening or writing the file raises
+    InputError naming the path; a broken pipe (-o /dev/stdout into a reader that has
+    gone) is left to the caller, as is any error of a stream, stdout included."""
+    if out is None or hasattr(out, "write"):
+        _write_all(pieces, sys.stdout if out is None else out)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            _write_all(pieces, fh)
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _csv(header: Sequence[str], rows: Iterable[Sequence],
@@ -81,27 +75,19 @@ def _csv(header: Sequence[str], rows: Iterable[Sequence],
     included) is written with 6 decimals, any other cell with str(), so a str cell
     may carry columns already joined.
 
-    With out None or a path, returns the text, also written to the path if given.
-    With out an open text stream, writes each line to it as the line is formatted,
-    in batches of at most _BATCH characters, and returns None."""
+    With out None, returns the text. Otherwise writes it through _write to out, a
+    path or an open text stream, each line as it is formatted, and returns None."""
     parts = _csv_parts(header, rows)
-    if hasattr(out, "write"):
-        _write_all(parts, out)
-        return None
-    # One join of the cells: joining each row first would hold a second copy.
-    text = "".join(parts)
-    if out is not None:
-        _write((text,), out)
-    return text
+    if out is None:
+        return "".join(parts)
+    _write(parts, out)
+    return None
 
 
 def _csv_parts(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
-    """_csv's text as its formatted cells, the commas between them and the newlines."""
+    """_csv's text a line at a time: each row's cells joined by commas, then "\\n"."""
     for row in itertools.chain((header,), rows):
-        for i, cell in enumerate(row):
-            if i:
-                yield ","
-            yield f"{cell:.6f}" if isinstance(cell, float) else str(cell)
+        yield ",".join([f"{cell:.6f}" if isinstance(cell, float) else str(cell) for cell in row])
         yield "\n"
 
 
@@ -446,16 +432,18 @@ class DistanceMatrix:
     def to_csv(self, path: str | os.PathLike | io.TextIOBase | None = None) -> str | None:
         """Serialize as CSV: header row of labels, then labelled rows, 6 decimals.
 
-        Returns the text, also written to path if one is given. Given an open text
-        stream instead, writes the rows to it as they are joined, in batches of at
-        most 64 KiB, and returns None: then a matrix with codes holds the text of only
-        its distinct rows, at most 150, and one built from an array one row's floats."""
+        Returns the text if path is None. Given a path or an open text stream, writes
+        the lines to it as they are joined, in slices of at most 64 KiB, and returns
+        None: then a matrix with codes holds the text of only its distinct lines, at
+        most 150, and one built from an array one row's floats and line."""
         names = list(map(_quoted, self.labels))
         if self.codes is not None:
-            # Each distinct code's row is joined once from the table's texts.
+            # A label is its code's token, so each distinct code's whole line is joined
+            # once from the table's texts.
             texts, row_of = _texts(), self.codes
-            body = {code: ",".join(map(texts[code].__getitem__, row_of)) for code in set(row_of)}
-            rows = zip(names, map(body.__getitem__, row_of))
+            line = {code: ",".join([label, *map(texts[code].__getitem__, row_of)])
+                    for code, label in dict(zip(row_of, self.labels)).items()}
+            rows = ((line[code],) for code in row_of)
         else:
             rows = ((name, *row.tolist()) for name, row in zip(names, self.values))
         return _csv(("label", *names), rows, path)

@@ -237,6 +237,18 @@ def test_closed_stdout_exits_1_without_a_traceback():
     assert (child.returncode, err) == (1, b"")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_closed_pipe_behind_an_output_path_exits_1_without_a_traceback():
+    """-o names a file that is the pipe: its broken pipe is the reader leaving too,
+    not a file that cannot be written."""
+    child = subprocess.Popen([sys.executable, "-m", "tonelab", "dist", "--matrix",
+                              "-o", "/dev/stdout"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert child.stdout.read(30) == b"label,11,12,13,14,15,21,22,23,"
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (1, b"")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize("args", [["dist", "41", "312"], ["dist", "--matrix"],

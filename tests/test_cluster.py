@@ -821,6 +821,13 @@ def test_dbscan_peak_linear_in_n():
     assert peak <= 128 * n
 
 
+@pytest.mark.parametrize("points", [[["a"]], [[{}]], np.zeros((2, 2, 2))],
+                         ids=["text", "dict", "3-d"])
+def test_dbscan_refuses_points_that_are_not_vectors_of_numbers(points):
+    with pytest.raises(InputError, match="^points must share a single vector dimension$"):
+        dbscan(points, eps=0.5, min_samples=1)
+
+
 def test_dbscan_input_validation():
     with pytest.raises(InputError):
         dbscan([[0.0], [1.0]], eps=-1.0, min_samples=2)

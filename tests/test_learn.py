@@ -170,6 +170,17 @@ def test_decode_requires_positive_beta():
         decode_transcription((3.0, 3.0, 3.0), beta=float("nan"))
 
 
+@pytest.mark.parametrize("z,shown", [((math.nan, 3, 3), "(nan, 3, 3)"),
+                                     ((math.inf, 3, 3), "(inf, 3, 3)"),
+                                     ((3, -math.inf, 3), "(3, -inf, 3)"),
+                                     (np.array([3.0, 3.0, np.nan]), "(3.0, 3.0, nan)")],
+                         ids=["nan", "inf", "minus-inf", "array-nan"])
+def test_decode_refuses_a_non_finite_triple(z, shown):
+    with pytest.raises(InputError) as exc:
+        decode_transcription(z)
+    assert str(exc.value) == f"pitch triple must be finite, got {shown}"
+
+
 def test_decode_clamps_out_of_range_values():
     assert decode_transcription((0.2, 6.8, 3.0)).token == "153"
     assert decode_transcription((-2.0, 9.0, 12.0)).token == "155"

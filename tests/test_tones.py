@@ -92,7 +92,9 @@ def test_transcription_validates_digits():
 
 @given(token_st)
 def test_parse_round_trips(token):
-    assert parse_transcription(token).token == token
+    t = parse_transcription(token)
+    assert t.token == str(t) == token
+    assert list(t) == [int(c) for c in token]
 
 
 def test_canonical_transcriptions_are_the_shared_instances_in_a_new_list():
@@ -556,7 +558,7 @@ CSV_CASES = {
 def test_csv_byte_identical_to_per_entry_writer(which, tmp_path):
     m = CSV_CASES[which]()
     path = tmp_path / "m.csv"
-    assert m.to_csv(path) == reference_csv(m)
+    assert m.to_csv(path) is None
     assert path.read_bytes() == reference_csv(m).encode("utf-8")
     if which == "signed-zeros":
         assert "-0.000000" in m.to_csv()
@@ -610,9 +612,24 @@ def test_csv_memory_streamed_and_joined():
     sink = _Writes(keep=False)
     assert _peak_mib(lambda: m.to_csv(sink)) < 2.5
     assert sink.chars == len(text)
-    # the text keeps its one join of cells: a join of per-line strings holds each line too
+    # the text is joined from its lines, and a matrix with codes shares each distinct line
     del text
     assert _peak_mib(m.to_csv) < 4.6
+
+
+def test_array_csv_to_a_path_holds_one_line(tmp_path):
+    # 600 x 600 built from an array: 3.2 MB of CSV, which a path is given a line at a time
+    m = _random_matrix(600, 7)
+    path = tmp_path / "m.csv"
+    assert _peak_mib(lambda: m.to_csv(path)) < 1
+    assert path.read_bytes() == reference_csv(m).encode("utf-8")
+
+
+def test_array_csv_text_holds_its_lines_not_its_cells():
+    # the text and its joined lines; a join of every cell would hold each cell's string too
+    m = _random_matrix(600, 8)
+    size = len(m.to_csv())  # one-time allocations happen outside the measurement
+    assert _peak_mib(m.to_csv) * 2**20 < 3 * size
 
 
 def test_csv_quotes_labels_with_commas_quotes_or_line_breaks():
