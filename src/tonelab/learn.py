@@ -4,8 +4,9 @@ regressor, and tone-category discovery from clips embedded by it.
 
 A model predicts three pitch levels z = (z1, z2, z3), each in [1, 5]. Labels
 are transcriptions of length 2 or 3. The loss compares z against the label's
-three pitch points, treating a 2-digit label as a line whose implied middle
-point is the endpoint midpoint. The decoder emits a 2-digit transcription
+three pitch levels at x = 1, 2, 3, the points its curve passes through
+(tones._points): a 3-digit label's digits, or a 2-digit label's endpoints with
+their mean between them. The decoder emits a 2-digit transcription
 when z is nearly collinear and a 3-digit one otherwise.
 """
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from . import pitch as pitchmod
 from ._defaults import DEFAULT_BETA
 from .errors import InputError, naming
-from .tones import Transcription, _json, _reading, _write
+from .tones import Transcription, _json, _points, _reading, _write
 
 if TYPE_CHECKING:
     from .cluster import ClusterAssignment
@@ -36,18 +37,10 @@ _OFFSET, _SCALE = 1.0, 4.0  # z = _OFFSET + _SCALE * sigmoid(u), in [1, 5]
 _SQUASH = {"offset": _OFFSET, "scale": _SCALE}  # what model files declare
 
 
-def _label_points(y: Transcription) -> tuple[float, float, float]:
-    """Label as three pitch points; 2-digit labels get a midpoint middle."""
-    if len(y.digits) == 3:
-        return (float(y.digits[0]), float(y.digits[1]), float(y.digits[2]))
-    p, q = y.digits
-    return (float(p), (p + q) / 2.0, float(q))
-
-
 def pitch_distance(z: Sequence[float], y: Transcription) -> float:
     """L1 distance between a predicted pitch triple and a label transcription."""
     z1, z2, z3 = z
-    t1, t2, t3 = _label_points(y)
+    t1, t2, t3 = _points(y)
     return abs(z1 - t1) + abs(z2 - t2) + abs(z3 - t3)
 
 
@@ -64,7 +57,7 @@ def pitch_distance_subgradient(z: Sequence[float], y: Transcription) -> np.ndarr
     Each component is the sign of its absolute-value argument; 0 at the
     nondifferentiable points.
     """
-    targets = _label_points(y)
+    targets = _points(y)
     return np.array([float(np.sign(zi - ti)) for zi, ti in zip(z, targets)])
 
 
@@ -79,13 +72,17 @@ def decode_transcription(z: Sequence[float], beta: float = DEFAULT_BETA) -> Tran
 
     Near-collinear triples (linearity margin < beta) yield the 2-digit tone
     (round(z1), round(z3)); all others keep the middle point. Rounding is
-    half-away-from-zero; digits are clamped to 1..5. A NaN or infinite value
-    raises InputError.
+    half-away-from-zero; digits are clamped to 1..5. A z that is not three real
+    numbers, or holds a NaN or infinite value, raises InputError.
     """
     if not beta > 0:
         raise InputError("beta must be positive")
-    z1, z2, z3 = z
-    if not all(map(math.isfinite, (z1, z2, z3))):
+    try:
+        z1, z2, z3 = z
+        finite = all(map(math.isfinite, (z1, z2, z3)))
+    except (TypeError, ValueError):  # not 3 values, or one that is not a real number
+        raise InputError(f"pitch triple must be 3 real numbers, got {z!r}") from None
+    if not finite:
         raise InputError(f"pitch triple must be finite, got ({z1}, {z2}, {z3})")
     if linearity_margin(z) < beta:
         digits = (z1, z3)
@@ -290,7 +287,7 @@ def train_tone_model(
         raise InputError("training data needs at least 2 distinct labels")
 
     x_mat = np.stack(features)  # (n, K)
-    targets = np.array([_label_points(y) for y in labels])  # (n, 3)
+    targets = np.array([_points(y) for y in labels])  # (n, 3)
 
     draws = np.array(_uniform_draws(operator.index(seed), 3 * k + 3, -0.1, 0.1))
     weights, bias = draws[:-3].reshape(3, k), draws[-3:]

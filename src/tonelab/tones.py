@@ -259,22 +259,27 @@ class PitchCurve(_Value):
         return (self.a * x + self.b) * x + self.c
 
 
-def curve_of(t: Transcription) -> PitchCurve:
-    """Simulated pitch curve of a transcription.
+def _points(t: Transcription) -> tuple[float, float, float]:
+    """Pitch levels of a transcription at x = 1, 2, 3: the digits of a 3-digit tone,
+    or a 2-digit tone's endpoints with their mean between them, so that its curve
+    is the line through its endpoints. Curves, contours and training targets all
+    start from these three points."""
+    if len(t.digits) == 3:
+        return tuple(map(float, t.digits))
+    p, q = map(float, t.digits)
+    return (p, (p + q) / 2, q)
 
-    2-digit (p, q): the line through (1, p) and (3, q).
-    3-digit (p, q, r): the degree <= 2 polynomial through (1, p), (2, q), (3, r).
-    All knot digits are small integers, so the coefficients are exact dyadic
-    rationals.
+
+def curve_of(t: Transcription) -> PitchCurve:
+    """Simulated pitch curve of a transcription: the degree <= 2 polynomial through
+    (1, y1), (2, y2), (3, y3), the levels of _points(t). A 2-digit tone's points are
+    collinear, so its curve is a line (a = 0.0). All levels are small integers or
+    their halves, so the coefficients are exact dyadic rationals.
     """
-    if len(t.digits) == 2:
-        p, q = t.digits
-        b = (q - p) / 2
-        return PitchCurve(0.0, b, p - b)
-    p, q, r = t.digits
-    a = (p - 2 * q + r) / 2
-    b = (q - p) - 3 * a
-    return PitchCurve(a, b, p - a - b)
+    y1, y2, y3 = _points(t)
+    a = (y1 - 2 * y2 + y3) / 2
+    b = (y2 - y1) - 3 * a
+    return PitchCurve(a, b, y1 - a - b)
 
 
 def _abs_integral(a: float, b: float, c: float) -> float:
@@ -396,7 +401,10 @@ class DistanceMatrix:
 
         object.__setattr__(self, "labels", tuple(labels))
         n = len(self.labels)
-        v = np.asarray(values, dtype=float)
+        try:
+            v = np.asarray(values, dtype=float)
+        except (TypeError, ValueError):  # ragged rows, or a cell that is not a number
+            raise InputError("distance matrix values must be numbers in equal-length rows") from None
         object.__setattr__(self, "values", v)
         if v.shape != (n, n):
             raise InputError(f"matrix shape {v.shape} does not match {n} labels")
@@ -491,25 +499,22 @@ class NormalizedContour(_Value):
                 raise InputError(f"normalized contour value outside [0, 1]: {v}")
 
 
-def relative_pitch(t: Transcription) -> tuple[float, ...]:
-    """Digits mapped to [0, 1]: min -> 0, max -> 1, midpoints in proportion.
+def _relative(levels: Sequence[float]) -> tuple[float, ...]:
+    """Levels mapped to [0, 1]: min -> 0, max -> 1, others in proportion. Level
+    tones carry no relative variation; by convention they map to the constant 0.5."""
+    lo, hi = min(levels), max(levels)
+    return tuple(0.5 if hi == lo else (d - lo) / (hi - lo) for d in levels)
 
-    Level tones carry no relative variation; by convention they map to the
-    constant 0.5.
-    """
-    lo = min(t.digits)
-    hi = max(t.digits)
-    if hi == lo:
-        return tuple(0.5 for _ in t.digits)
-    return tuple((d - lo) / (hi - lo) for d in t.digits)
+
+def relative_pitch(t: Transcription) -> tuple[float, ...]:
+    """A transcription's digits mapped to [0, 1] by _relative, one value per digit."""
+    return _relative(t.digits)
 
 
 def normalize_contour(t: Transcription) -> NormalizedContour:
-    """Three-point relative-pitch contour; 2-digit tones are midpoint-expanded."""
-    vals = relative_pitch(t)
-    if len(vals) == 2:
-        vals = (vals[0], (vals[0] + vals[1]) / 2.0, vals[1])
-    return NormalizedContour(vals)
+    """Three-point relative-pitch contour: _relative of the levels of _points(t),
+    so a 2-digit tone's middle value is its endpoints' mean."""
+    return NormalizedContour(_relative(_points(t)))
 
 
 def _sigmoid(x: float) -> float:

@@ -181,6 +181,24 @@ def test_decode_refuses_a_non_finite_triple(z, shown):
     assert str(exc.value) == f"pitch triple must be finite, got {shown}"
 
 
+@pytest.mark.parametrize("z,shown", [((3, 3), "(3, 3)"),
+                                     ((3, 3, 3, 3), "(3, 3, 3, 3)"),
+                                     (("a", "b", "c"), "('a', 'b', 'c')"),
+                                     (None, "None")],
+                         ids=["two", "four", "strings", "none"])
+def test_decode_refuses_what_is_not_three_real_numbers(z, shown):
+    with pytest.raises(InputError) as exc:
+        decode_transcription(z)
+    assert str(exc.value) == f"pitch triple must be 3 real numbers, got {shown}"
+
+
+def test_decode_takes_python_and_numpy_floats_alike():
+    for z in ((2.6, 3.4, 4.6), tuple(map(np.float64, (2.6, 3.4, 4.6))),
+              np.array([2.6, 3.4, 4.6])):
+        assert decode_transcription(z, 0.5).token == "35"
+        assert decode_transcription(z, 0.1).token == "335"
+
+
 def test_decode_clamps_out_of_range_values():
     assert decode_transcription((0.2, 6.8, 3.0)).token == "153"
     assert decode_transcription((-2.0, 9.0, 12.0)).token == "155"

@@ -1,5 +1,6 @@
 import copy
 import io
+import itertools
 import json
 import math
 import operator
@@ -8,6 +9,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from tonelab import (
     curve_of,
     normalize_contour,
     parse_transcription,
+    pitch_distance,
     relative_pitch,
     tone_distance,
     tone_distance_database,
@@ -502,6 +505,15 @@ def test_matrix_validation():
         DistanceMatrix(tuple(map(str, range(70))), v)
 
 
+@pytest.mark.parametrize("values", [[["0", "x"], ["1", "0"]], [[0.0, 1.0], [1.0]],
+                                    [[0.0, {}], [1.0, 0.0]]],
+                         ids=["text-cell", "ragged", "dict-cell"])
+def test_matrix_refuses_values_that_are_not_numbers(values):
+    with pytest.raises(InputError) as caught:
+        DistanceMatrix(("a", "b"), values)
+    assert str(caught.value) == "distance matrix values must be numbers in equal-length rows"
+
+
 def test_matrix_csv_format():
     m = build_distance_matrix([parse_transcription("41"), parse_transcription("312")])
     lines = m.to_csv().splitlines()
@@ -923,6 +935,64 @@ def test_normalize_contour_invariants(token):
     if max(t.digits) != min(t.digits):
         assert min(values) == 0.0
         assert max(values) == 1.0
+
+
+# Frozen copies of the separate 2- and 3-digit rules that curve_of, normalize_contour,
+# relative_pitch and learn's training targets each stated for themselves.
+
+
+def _frozen_curve_of(t):
+    if len(t.digits) == 2:
+        p, q = t.digits
+        b = (q - p) / 2
+        return (0.0, b, p - b)
+    p, q, r = t.digits
+    a = (p - 2 * q + r) / 2
+    b = (q - p) - 3 * a
+    return (a, b, p - a - b)
+
+
+def _frozen_label_points(y):
+    if len(y.digits) == 3:
+        return (float(y.digits[0]), float(y.digits[1]), float(y.digits[2]))
+    p, q = y.digits
+    return (float(p), (p + q) / 2.0, float(q))
+
+
+def _frozen_relative_pitch(t):
+    lo = min(t.digits)
+    hi = max(t.digits)
+    if hi == lo:
+        return tuple(0.5 for _ in t.digits)
+    return tuple((d - lo) / (hi - lo) for d in t.digits)
+
+
+def _frozen_normalize_contour(t):
+    vals = _frozen_relative_pitch(t)
+    if len(vals) == 2:
+        vals = (vals[0], (vals[0] + vals[1]) / 2.0, vals[1])
+    return vals
+
+
+def _hex(values):
+    return [float.hex(float(v)) for v in values]
+
+
+def test_three_point_forms_match_frozen_rules_bit_for_bit():
+    for t in canonical_transcriptions():
+        c = curve_of(t)
+        assert _hex((c.a, c.b, c.c)) == _hex(_frozen_curve_of(t)), t
+        assert _hex(relative_pitch(t)) == _hex(_frozen_relative_pitch(t)), t
+        assert _hex(normalize_contour(t).values) == _hex(_frozen_normalize_contour(t)), t
+        # each training target read through pitch_distance: with z equal to the frozen
+        # targets but 0.0 at i, the distance is exactly the live target i
+        points = _frozen_label_points(t)
+        live = [pitch_distance(points[:i] + (0.0,) + points[i + 1 :], t) for i in range(3)]
+        assert _hex(live) == _hex(points), t
+    coefs = [_frozen_curve_of(t) for t in canonical_transcriptions()]
+    frozen = array("d", (tones._abs_integral(a - a2, b - b2, c - c2)
+                         for a, b, c in coefs for a2, b2, c2 in coefs))
+    assert array("d", itertools.chain.from_iterable(tones._rows())).tobytes() == frozen.tobytes()
 
 
 # ---------------------------------------------------------------------------
